@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
@@ -49,10 +50,22 @@ FEATURE_CSV_HEADER = ["window_start_ms", "window_end_ms", *FEATURE_NAMES]
 
 
 def _write_text_atomic(path: str | Path, text: str) -> None:
+    """Write *text* to a temp file unique to this call in *path*'s directory, then rename it onto *path*.
+
+    Concurrent writers never share a temp file, and the temp file is removed
+    if the write or the rename fails. It is created like a plain open()
+    would create it (mode 0o666 less the umask), which mkstemp's 0o600 is not.
+    """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def feature_csv_text(spans: np.ndarray, matrix: np.ndarray) -> str:
@@ -84,6 +97,8 @@ def read_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 values = [float(v) for v in row]
             except ValueError:
                 raise SchemaError(f"{path}: data row {row_no}: unparseable numeric cell") from None
+            if not all(map(math.isfinite, values)):
+                raise SchemaError(f"{path}: data row {row_no}: non-finite numeric cell")
             spans.append(values[:2])
             rows.append(values[2:])
     if not rows:

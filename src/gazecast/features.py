@@ -27,6 +27,15 @@ Numeric conventions, applied everywhere a statistic is formed:
   h = (n-1)p + 1 rule);
 * every degenerate case (no episodes, single path, empty zone, ...)
   yields 0.0 -- never NaN -- so downstream learners stay total.
+
+Extraction is batched. :func:`extract_matrix` groups windows by (sequence,
+sample count) and runs each group in fixed chunks of (W, n) arrays through
+one call per feature family; :func:`extract` is a batch of one, and so is a
+1-d call to a family function. The nominal rate is taken once per sequence.
+Sums over runs, zones and episodes are NumPy reductions over blocks of
+equal-length groups, so they follow NumPy's own reduction order for a 1-d
+array (pairwise from 8 terms on): a window's features are the same bits
+whatever batch it is computed in.
 """
 
 from __future__ import annotations
@@ -63,6 +72,7 @@ FEATURE_NAMES: tuple[str, ...] = (
     "eye_close_count_skew",
 )
 N_FEATURES = len(FEATURE_NAMES)
+_NON_FINITE_FEATURES = "feature vector contains non-finite values"
 
 
 def feature_names() -> list[str]:
@@ -114,7 +124,7 @@ class FeatureVector:
         if v.shape != (N_FEATURES,):
             raise ValidationError(f"feature vector must have {N_FEATURES} values, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
-            raise ValidationError("feature vector contains non-finite values")
+            raise ValidationError(_NON_FINITE_FEATURES)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -133,47 +143,114 @@ class DescriptiveStats(NamedTuple):
     iqr_q2q3: float
 
 
-def _sample_std(x: np.ndarray) -> float:
-    """Sample std with an exact 0.0 for constant input.
+# --- batch plumbing -----------------------------------------------------------
 
-    np.std of a bitwise-constant series can round to ~1e-17 because the mean
-    rounds; the degenerate-to-zero convention needs a value comparison.
+
+def _as_rows(name: str, *arrays, dtype=np.float64) -> tuple[list[np.ndarray], bool]:
+    """The inputs as (W, n) batches, and whether they came as one 1-d window."""
+    arrs = [np.asarray(a, dtype=dtype) for a in arrays]
+    if arrs[0].ndim not in (1, 2):
+        raise ValidationError(f"{name} needs a 1-d series or a 2-d batch of rows")
+    single = arrs[0].ndim == 1
+    return [a.reshape(1, -1) if single else a for a in arrs], single
+
+
+def _unbatch(out: np.ndarray, single: bool):
+    """A batch of one back to the tuple of floats a 1-d call returns."""
+    return tuple(float(v) for v in out[0]) if single else out
+
+
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, start, stop) of each maximal True run in a 2-d mask, in row-major order."""
+    padded = np.zeros((mask.shape[0], mask.shape[1] + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    edges = np.diff(padded, axis=1)
+    rows, starts = np.nonzero(edges == 1)
+    return rows, starts, np.nonzero(edges == -1)[1]
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray):
+    """Flat indices of the segments [start, start + length), one (G, length) block per distinct length.
+
+    Yields (positions of the segments in the input, index block). NumPy
+    reduces every row of a block in the order a 1-d call on that segment
+    would (pairwise from 8 terms on), so block reductions equal per-segment
+    ones bit for bit; a flat segment sum (bincount, reduceat) would not.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if np.all(x == x[0]):
-        return 0.0
-    return float(np.std(x, ddof=1))
+    for length in np.unique(lengths):
+        sel = np.flatnonzero(lengths == length)
+        yield sel, starts[sel, None] + np.arange(length)
 
 
-def _skewness(x: np.ndarray) -> float:
-    if np.all(x == x[0]):
-        return 0.0
-    # Exact power-of-two rescale to max|x| in [0.5, 1): m2**1.5 cannot underflow.
-    x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
-    m = float(np.mean(x))
-    d = x - m
-    m2 = float(np.mean(d * d))
-    if m2 == 0.0:
-        return 0.0
-    m3 = float(np.mean(d * d * d))
-    return m3 / m2**1.5
+def _skewness_rows(x: np.ndarray) -> np.ndarray:
+    """m3 / m2**1.5 per row of non-constant rows, after an exact power-of-two rescale.
+
+    The rescale puts each row's max|x| in [0.5, 1), so m2**1.5 cannot underflow.
+    """
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=1))[1][:, None])
+    d = x - np.mean(x, axis=1)[:, None]
+    m2 = np.mean(d * d, axis=1)
+    m3 = np.mean(d * d * d, axis=1)
+    out = np.zeros(len(x))
+    ok = m2 != 0.0
+    # Python's scalar power: NumPy's vector m2**1.5 differs in the last bit for ~5% of values.
+    out[ok] = m3[ok] / np.array([v**1.5 for v in m2[ok].tolist()])
+    return out
 
 
-def descriptive_stats(series) -> DescriptiveStats:
+def _moments(block: np.ndarray, skew: bool = False) -> np.ndarray:
+    """Per-row [mean, sample std(, skewness)] of a (G, k >= 2) block.
+
+    An exactly constant row gets std and skewness 0.0: np.std of a constant
+    series can round to ~1e-17 because its mean rounds.
+    """
+    out = np.zeros((len(block), 3 if skew else 2))
+    out[:, 0] = np.mean(block, axis=1)
+    varied = ~np.all(block == block[:, :1], axis=1)
+    if np.any(varied):
+        out[varied, 1] = np.std(block[varied], axis=1, ddof=1)
+        if skew:
+            out[varied, 2] = _skewness_rows(block[varied])
+    return out
+
+
+def _item_moments(values: np.ndarray, rows: np.ndarray, n_rows: int, skew: bool = False) -> np.ndarray:
+    """[mean, sample std(, skewness)] of each row's items; *values* are sorted by their *rows*.
+
+    A row with no items gets zeros; with one item, (value, 0, 0).
+    """
+    counts = np.bincount(rows, minlength=n_rows)
+    out = np.zeros((n_rows, 3 if skew else 2))
+    for sel, idx in _segments(np.cumsum(counts) - counts, counts):
+        if idx.shape[1] == 1:
+            out[sel, 0] = values[idx[:, 0]]
+        elif idx.shape[1] > 1:
+            out[sel] = _moments(values[idx], skew)
+    return out
+
+
+# --- feature families ---------------------------------------------------------
+#
+# Each family works along the last axis: a 1-d input is one window and gives
+# the documented tuple of floats; a (W, n) batch of equal-length windows gives
+# a (W, k) array with the same columns, one row per window.
+
+
+def descriptive_stats(series) -> DescriptiveStats | np.ndarray:
     """Mean, sample std, moment skewness, and the two inter-quartile distances."""
-    x = np.asarray(series, dtype=np.float64)
-    if x.ndim != 1 or len(x) < 2:
-        raise ValidationError("descriptive_stats needs a 1-d series of length >= 2")
-    if np.all(x == x[0]):
-        return DescriptiveStats(float(x[0]), 0.0, 0.0, 0.0, 0.0)
-    q1, q2, q3 = np.percentile(x, [25.0, 50.0, 75.0])  # linear interpolation: h = (n-1)p + 1
-    return DescriptiveStats(
-        mean=float(np.mean(x)),
-        std=float(np.std(x, ddof=1)),
-        skewness=_skewness(x),
-        iqr_q1q2=float(q2 - q1),
-        iqr_q2q3=float(q3 - q2),
-    )
+    (x,), single = _as_rows("descriptive_stats", series)
+    if x.shape[1] < 2:
+        raise ValidationError("descriptive_stats needs series of length >= 2")
+    out = np.zeros((len(x), 5))
+    const = np.all(x == x[:, :1], axis=1)
+    out[const, 0] = x[const, 0]
+    v = x[~const]
+    if len(v):
+        q1, q2, q3 = np.percentile(v, [25.0, 50.0, 75.0], axis=1)  # linear interpolation: h = (n-1)p + 1
+        out[~const, :3] = _moments(v, skew=True)
+        out[~const, 3] = q2 - q1
+        out[~const, 4] = q3 - q2
+    return DescriptiveStats(*_unbatch(out, True)) if single else out
 
 
 def periodogram(series, rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
@@ -203,41 +280,50 @@ def band_psd(series, rate_hz: float, config: FeatureConfig = FeatureConfig()) ->
     (falling back to the bin nearest the range midpoint if the range holds
     no bin, which cannot happen at the default resolution).
     """
-    x = np.asarray(series, dtype=np.float64)
-    if len(x) < 2:
+    (x,), single = _as_rows("band_psd", series)
+    if x.shape[1] < 2:
         raise ValidationError("band_psd needs at least 2 samples")
     if rate_hz <= 0:
         raise ValidationError("rate_hz must be > 0")
-    n = len(x)
-    x = x - (x[0] if np.all(x == x[0]) else np.mean(x))  # constant -> exactly zero signal
+    n = x.shape[1]
     n_pad = max(n, int(math.ceil(rate_hz / config.psd_pad_resolution_hz)))
-    spec = np.fft.rfft(x, n=n_pad)
-    power = (spec.real**2 + spec.imag**2) / n
-    freqs = np.arange(len(power)) * (rate_hz / n_pad)
-
+    freqs = np.arange(n_pad // 2 + 1) * (rate_hz / n_pad)
     scale = rate_hz if config.psd_mode == "normalized" else 1.0
-    out = np.empty(5)
-    for b, target in enumerate(PSD_SINGLE_BINS_HZ):
-        out[b] = power[int(np.argmin(np.abs(freqs - target * scale)))]
-    for b, (lo, hi) in enumerate(PSD_BAND_RANGES_HZ, start=2):
-        mask = (freqs >= lo * scale) & (freqs <= hi * scale)
-        if np.any(mask):
-            out[b] = float(np.mean(power[mask]))
+    bands = []  # [a, b) bin range each band averages; a single bin is a range of one
+    for target in PSD_SINGLE_BINS_HZ:
+        k = int(np.argmin(np.abs(freqs - target * scale)))
+        bands.append((k, k + 1))
+    for lo, hi in PSD_BAND_RANGES_HZ:
+        inside = np.flatnonzero((freqs >= lo * scale) & (freqs <= hi * scale))
+        if len(inside):
+            bands.append((int(inside[0]), int(inside[-1]) + 1))
         else:
-            out[b] = power[int(np.argmin(np.abs(freqs - 0.5 * (lo + hi) * scale)))]
-    return out
+            k = int(np.argmin(np.abs(freqs - 0.5 * (lo + hi) * scale)))
+            bands.append((k, k + 1))
+
+    const = np.all(x == x[:, :1], axis=1)
+    center = x[:, 0].copy()  # constant -> exactly zero signal
+    center[~const] = np.mean(x[~const], axis=1)
+    k0, k1 = min(a for a, _ in bands), max(b for _, b in bands)
+    spec = np.fft.rfft(x - center[:, None], n=n_pad, axis=1)[:, k0:k1]
+    power = (spec.real**2 + spec.imag**2) / n
+    # Column slices, not a column mask: masking columns yields a column-major
+    # copy, whose rows NumPy sums in another order than a 1-d mean.
+    out = np.column_stack([np.mean(power[:, a - k0 : b - k0], axis=1) for a, b in bands])
+    return out[0] if single else out
 
 
-def fixation_zone_stats(xs, ys, axis: str, config: FeatureConfig = FeatureConfig()) -> tuple[float, float]:
+def fixation_zone_stats(
+    xs, ys, axis: str, config: FeatureConfig = FeatureConfig()
+) -> tuple[float, float] | np.ndarray:
     """Mean and sample std of per-zone coordinate stds along *axis* ("x" or "y").
 
     The zone_bounds box is split into zone_grid**2 equal cells; samples
     outside the box clamp to the nearest cell. Only cells holding >= 2
     samples contribute a std. No qualifying cell -> (0, 0); one -> (std, 0).
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if len(xs) == 0 or len(xs) != len(ys):
+    (xs, ys), single = _as_rows("fixation_zone_stats", xs, ys)
+    if xs.shape[1] == 0 or xs.shape != ys.shape:
         raise ValidationError("fixation_zone_stats needs equal-length non-empty coordinate lists")
     if axis not in ("x", "y"):
         raise ValidationError("axis must be 'x' or 'y'")
@@ -245,120 +331,144 @@ def fixation_zone_stats(xs, ys, axis: str, config: FeatureConfig = FeatureConfig
     xmin, xmax, ymin, ymax = config.zone_bounds
     ix = np.clip(np.floor((xs - xmin) / (xmax - xmin) * g).astype(int), 0, g - 1)
     iy = np.clip(np.floor((ys - ymin) / (ymax - ymin) * g).astype(int), 0, g - 1)
+    # A stable sort of each window by cell keeps every cell's samples in time order.
     cell = ix * g + iy
-    coords = xs if axis == "x" else ys
-
-    stds = []
-    for c in np.unique(cell):
-        members = coords[cell == c]
-        if len(members) >= 2:
-            stds.append(_sample_std(members))
-    if not stds:
-        return 0.0, 0.0
-    if len(stds) == 1:
-        return stds[0], 0.0
-    arr = np.array(stds)
-    return float(np.mean(arr)), _sample_std(arr)
-
-
-def _run_bounds(mask: np.ndarray) -> list[tuple[int, int]]:
-    """[start, stop) index pairs of maximal True runs."""
-    if len(mask) == 0:
-        return []
-    m = mask.astype(np.int8)
-    edges = np.flatnonzero(np.diff(m))
-    starts = list(edges[m[edges] == 0] + 1)
-    stops = list(edges[m[edges] == 1] + 1)
-    if m[0]:
-        starts.insert(0, 0)
-    if m[-1]:
-        stops.append(len(mask))
-    return list(zip(starts, stops))
+    order = np.argsort(cell, axis=1, kind="stable")
+    cell = np.take_along_axis(cell, order, axis=1)
+    coords = np.take_along_axis(xs if axis == "x" else ys, order, axis=1).ravel()
+    first = np.ones(cell.shape, dtype=bool)  # first sample of a (window, cell) zone
+    first[:, 1:] = cell[:, 1:] != cell[:, :-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.r_[starts, cell.size])
+    starts, counts = starts[counts >= 2], counts[counts >= 2]
+    stds = np.empty(len(starts))
+    for sel, idx in _segments(starts, counts):
+        stds[sel] = _moments(coords[idx])[:, 1]
+    return _unbatch(_item_moments(stds, starts // cell.shape[1], len(xs)), single)
 
 
-def scan_path_stats(xs, ys, timestamps_ms, config: FeatureConfig = FeatureConfig()) -> tuple[float, float]:
+def scan_path_stats(
+    xs, ys, timestamps_ms, config: FeatureConfig = FeatureConfig()
+) -> tuple[float, float] | np.ndarray:
     """Mean and sample std of scan-path lengths inside the window.
 
     A step is scanning when its velocity (Euclidean step distance over step
     duration) exceeds velocity_threshold; a scan path is a maximal run of
     scanning steps and its length is the sum of its step distances.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    ts = np.asarray(timestamps_ms, dtype=np.float64)
-    if len(xs) < 2:
+    (xs, ys, ts), single = _as_rows("scan_path_stats", xs, ys, timestamps_ms)
+    if xs.shape[1] < 2:
         raise ValidationError("scan_path_stats needs at least 2 samples")
-    dist = np.hypot(np.diff(xs), np.diff(ys))
-    dt_s = np.diff(ts) / 1000.0
-    scanning = dist / dt_s > config.velocity_threshold
-    lengths = [float(np.sum(dist[a:b])) for a, b in _run_bounds(scanning)]
-    if not lengths:
-        return 0.0, 0.0
-    if len(lengths) == 1:
-        return lengths[0], 0.0
-    arr = np.array(lengths)
-    return float(np.mean(arr)), _sample_std(arr)
+    dist = np.hypot(np.diff(xs, axis=1), np.diff(ys, axis=1))
+    dt_s = np.diff(ts, axis=1) / 1000.0
+    rows, starts, stops = _runs(dist / dt_s > config.velocity_threshold)
+    flat = dist.ravel()
+    lengths = np.empty(len(rows))
+    for sel, idx in _segments(rows * dist.shape[1] + starts, stops - starts):
+        lengths[sel] = np.sum(flat[idx], axis=1)
+    return _unbatch(_item_moments(lengths, rows, len(xs)), single)
 
 
-def approach_stats(distances_mm, timestamps_ms, config: FeatureConfig = FeatureConfig()) -> tuple[float, float]:
+def approach_stats(
+    distances_mm, timestamps_ms, config: FeatureConfig = FeatureConfig()
+) -> tuple[float, float] | np.ndarray:
     """Fraction of approaching steps and mean approach-episode duration in ms.
 
     A step approaches when the eye-to-screen distance drops by more than
     approach_delta_mm. An episode of steps i..j spans timestamps_ms[j+1] -
     timestamps_ms[i]. No episodes -> (0, 0).
     """
-    d = np.asarray(distances_mm, dtype=np.float64)
-    ts = np.asarray(timestamps_ms, dtype=np.float64)
-    if len(d) < 2:
+    (d, ts), single = _as_rows("approach_stats", distances_mm, timestamps_ms)
+    if d.shape[1] < 2:
         raise ValidationError("approach_stats needs at least 2 samples")
-    approaching = -np.diff(d) > config.approach_delta_mm
-    ratio = float(np.mean(approaching))
-    durations = [float(ts[b] - ts[a]) for a, b in _run_bounds(approaching)]
-    if not durations:
-        return ratio, 0.0
-    return ratio, float(np.mean(durations))
+    approaching = -np.diff(d, axis=1) > config.approach_delta_mm
+    rows, starts, stops = _runs(approaching)
+    out = np.empty((len(d), 2))
+    out[:, 0] = np.mean(approaching, axis=1)
+    out[:, 1] = _item_moments(ts[rows, stops] - ts[rows, starts], rows, len(d))[:, 0]
+    return _unbatch(out, single)
 
 
-def eye_closure_stats(closed_flags) -> tuple[float, float, float]:
+def eye_closure_stats(closed_flags) -> tuple[float, float, float] | np.ndarray:
     """Mean, sample std, and skewness of eye-closure episode frame counts.
 
     An episode is a maximal run of closed frames. No episodes -> (0, 0, 0);
     a single episode -> (length, 0, 0).
     """
-    flags = np.asarray(closed_flags, dtype=bool)
-    if len(flags) == 0:
+    (flags,), single = _as_rows("eye_closure_stats", closed_flags, dtype=bool)
+    if flags.shape[1] == 0:
         raise ValidationError("eye_closure_stats needs a non-empty flag list")
-    lengths = np.array([b - a for a, b in _run_bounds(flags)], dtype=np.float64)
-    if len(lengths) == 0:
-        return 0.0, 0.0, 0.0
-    if len(lengths) == 1:
-        return float(lengths[0]), 0.0, 0.0
-    return float(np.mean(lengths)), _sample_std(lengths), _skewness(lengths)
+    rows, starts, stops = _runs(flags)
+    lengths = (stops - starts).astype(np.float64)
+    return _unbatch(_item_moments(lengths, rows, len(flags), skew=True), single)
 
 
-def extract(window: Window, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
-    """Compose the 31-slot canonical vector for one window."""
-    if window.n_samples < 2:
-        raise ValidationError(f"window at {window.start_ms:.1f} ms has {window.n_samples} sample(s); need >= 2")
-    xs, ys = window.xs, window.ys
-    dist = window.distances_mm
-    ts = window.timestamps_ms
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys)) and np.all(np.isfinite(dist))):
-        raise ValidationError(f"window at {window.start_ms:.1f} ms contains non-finite samples")
-    rate = window.rate_hz
+# --- the 31-feature vector ------------------------------------------------------
 
-    values = np.empty(N_FEATURES)
-    values[0:2] = approach_stats(dist, ts, config)
-    values[2:4] = scan_path_stats(xs, ys, ts, config)
+# Windows per batch: bounds the (W, n_pad) spectra, the largest arrays of a batch.
+_CHUNK_WINDOWS = 128
+# DescriptiveStats order -> canonical block order (mean, iqr_q1q2, iqr_q2q3, std, skewness).
+_BLOCK_COLUMNS = [0, 3, 4, 1, 2]
+
+
+def _chunk_features(seq, take: np.ndarray, rate_hz: float, config: FeatureConfig) -> np.ndarray:
+    """Feature rows for the windows whose sample indices are the rows of *take* (W, n)."""
+    xs, ys, ts = seq.gaze_x[take], seq.gaze_y[take], seq.timestamp_ms[take]
+    out = np.empty((len(take), N_FEATURES))
+    out[:, 0:2] = approach_stats(seq.screen_distance_mm[take], ts, config)
+    out[:, 2:4] = scan_path_stats(xs, ys, ts, config)
     for base, coords, axis in ((4, xs, "x"), (16, ys, "y")):
-        s = descriptive_stats(coords)
-        values[base : base + 5] = (s.mean, s.iqr_q1q2, s.iqr_q2q3, s.std, s.skewness)
-        values[base + 5 : base + 10] = band_psd(coords, rate, config)
-        values[base + 10 : base + 12] = fixation_zone_stats(xs, ys, axis, config)
-    values[28:31] = eye_closure_stats(window.closed)
-    return FeatureVector(values)
+        out[:, base : base + 5] = descriptive_stats(coords)[:, _BLOCK_COLUMNS]
+        out[:, base + 5 : base + 10] = band_psd(coords, rate_hz, config)
+        out[:, base + 10 : base + 12] = fixation_zone_stats(xs, ys, axis, config)
+    out[:, 28:31] = eye_closure_stats(seq.eye_closed[take])
+    return out
+
+
+def _nonfinite_prefix(seq) -> np.ndarray:
+    """Running count of samples with a non-finite gaze or distance value, from 0."""
+    bad = ~(np.isfinite(seq.gaze_x) & np.isfinite(seq.gaze_y) & np.isfinite(seq.screen_distance_mm))
+    return np.concatenate(([0], np.cumsum(bad)))
 
 
 def extract_matrix(windows: list[Window], config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Stack :func:`extract` over windows into an (n_windows, 31) matrix."""
-    return np.array([extract(w, config).values for w in windows])
+    """The (n_windows, 31) feature matrix, one row per window in input order.
+
+    Every window is checked first, in input order, so the first one with
+    fewer than 2 samples or a non-finite sample is the one reported. The
+    windows are then grouped by (sequence, sample count) and each group runs
+    through the family functions in chunks of _CHUNK_WINDOWS (W, n) arrays.
+    """
+    if not windows:
+        return np.array([])
+    prefixes: dict[int, np.ndarray] = {}
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, w in enumerate(windows):
+        if w.n_samples < 2:
+            raise ValidationError(f"window at {w.start_ms:.1f} ms has {w.n_samples} sample(s); need >= 2")
+        prefix = prefixes.get(id(w.seq))
+        if prefix is None:
+            prefix = prefixes[id(w.seq)] = _nonfinite_prefix(w.seq)
+        if prefix[w.hi] != prefix[w.lo]:
+            raise ValidationError(f"window at {w.start_ms:.1f} ms contains non-finite samples")
+        groups.setdefault((id(w.seq), w.n_samples), []).append(i)
+
+    rates: dict[int, float] = {}
+    out = np.empty((len(windows), N_FEATURES))
+    for (seq_id, n), members in groups.items():
+        seq = windows[members[0]].seq
+        if seq_id not in rates:
+            rates[seq_id] = seq.nominal_rate_hz
+        members = np.array(members)
+        lo = np.array([windows[i].lo for i in members])
+        for c in range(0, len(members), _CHUNK_WINDOWS):
+            take = lo[c : c + _CHUNK_WINDOWS, None] + np.arange(n)
+            out[members[c : c + _CHUNK_WINDOWS]] = _chunk_features(seq, take, rates[seq_id], config)
+    if not np.all(np.isfinite(out)):
+        raise ValidationError(_NON_FINITE_FEATURES)
+    return out
+
+
+def extract(window: Window, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
+    """The 31-slot canonical vector for one window: a batch of one."""
+    return FeatureVector(extract_matrix([window], config)[0])

@@ -11,11 +11,10 @@ refuses windows containing them.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, TextIO
+from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -163,6 +162,13 @@ def _parse_float(cell: str, row: int, column: str) -> float:
         raise SchemaError(f"data row {row}: unparseable value {cell!r} in column {column!r}") from None
 
 
+def _parse_frame(cell: str, row: int) -> int:
+    v = _parse_float(cell, row, "frame")
+    if not (math.isfinite(v) and -(2.0**63) <= v < 2.0**63):
+        raise SchemaError(f"data row {row}: frame {cell!r} is not a finite 64-bit integer")
+    return int(v)
+
+
 def parse_gaze_csv(
     stream: TextIO,
     *,
@@ -201,7 +207,7 @@ def parse_gaze_csv(
             continue
         if len(row) < width:
             raise SchemaError(f"data row {row_no}: expected at least {width} columns, got {len(row)}")
-        frames.append(int(_parse_float(row[col["frame"]], row_no, "frame")))
+        frames.append(_parse_frame(row[col["frame"]], row_no))
         t = _parse_float(row[col["timestamp_ms"]], row_no, "timestamp_ms")
         if ts and t <= ts[-1]:
             raise ValidationError(f"data row {row_no}: timestamp_ms not strictly increasing")

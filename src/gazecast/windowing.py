@@ -48,10 +48,6 @@ class Window:
     def closed(self) -> np.ndarray:
         return self.seq.eye_closed[self.lo : self.hi]
 
-    @property
-    def rate_hz(self) -> float:
-        return self.seq.nominal_rate_hz
-
 
 @dataclass(frozen=True)
 class LabeledWindow:

@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazecast.cli import FEATURE_CSV_HEADER, feature_csv_text, main, read_feature_csv
+from gazecast.cli import FEATURE_CSV_HEADER, _write_text_atomic, feature_csv_text, main, read_feature_csv
 from gazecast.features import FEATURE_NAMES
 from gazecast.regression import SvrConfig, SvrModel, model_to_text
 from gazecast.evaluation import grid_search_c
@@ -111,6 +112,13 @@ class TestExtract:
             rows.append(f"{i},{i * 100.0},{x},0.0,600,0")
         bad.write_text("\n".join(rows) + "\n")
         assert run("extract", "--gaze", bad, "--out", tmp_path / "f.csv") == 3
+
+    def test_nan_frame_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "nan_frame.csv"
+        bad.write_text("frame,timestamp_ms,gaze_x,gaze_y,screen_distance_mm,eye_closed\n"
+                       "nan,0,0.1,0.0,600,0\n1,33.3,0.1,0.0,600,0\n")
+        assert run("extract", "--gaze", bad, "--out", tmp_path / "f.csv") == 2
+        assert "data row 1" in capsys.readouterr().err
 
     def test_gap_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "gap.csv"
@@ -240,6 +248,20 @@ class TestPredictEvaluate:
         assert len(lines) == 4
         assert [float(l.split(",")[2]) for l in lines[1:]] == [0.1, -0.2, 0.4]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_predict_rejects_non_finite_feature_cell(self, tmp_path, capsys, cell):
+        model = self._identity_model_file(tmp_path)
+        features = self._crafted_features(tmp_path, [0.1, -0.2, 0.4])
+        lines = features.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[10] = cell
+        lines[2] = ",".join(fields)
+        features.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "pred.csv"
+        assert run("predict", "--model", model, "--features", features, "--out", out) == 2
+        assert "data row 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evaluate_perfect_predictions(self, tmp_path, capsys):
         model = self._identity_model_file(tmp_path)
         features = self._crafted_features(tmp_path, [0.1, -0.2, 0.4, 0.3])
@@ -365,9 +387,45 @@ class TestHelp:
         if command in ("select", "pipeline"):
             assert "--folds" in text and "default 10" in text
 
+    def test_python_m_gazecast(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "gazecast", "--help"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0
+        assert "synth" in proc.stdout and "pipeline" in proc.stdout
+
     @pytest.mark.skipif(shutil.which("gazecast") is None,
                         reason="gazecast console script not on PATH (package not installed)")
     def test_console_script_installed(self):
         proc = subprocess.run(["gazecast", "--help"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "synth" in proc.stdout and "pipeline" in proc.stdout
+
+
+class TestAtomicWrite:
+    def test_stale_tmp_directory_does_not_block_the_write(self, tmp_path):
+        (tmp_path / "out.csv.tmp").mkdir()
+        out = tmp_path / "out.csv"
+        assert run("extract", "--gaze", FIXTURES / "golden_gaze.csv", "--out", out) == 0
+        assert out.read_bytes() == (FIXTURES / "golden_features.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        (tmp_path / "out.csv").mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            _write_text_atomic(tmp_path / "out.csv", "text\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_writers_use_distinct_temp_files(self, tmp_path, monkeypatch):
+        seen = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen.append(Path(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        _write_text_atomic(tmp_path / "out.csv", "a\n")
+        _write_text_atomic(tmp_path / "out.csv", "b\n")
+        assert len(set(seen)) == 2 and all(p.parent == tmp_path for p in seen)
+        assert (tmp_path / "out.csv").read_text() == "b\n"

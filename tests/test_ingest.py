@@ -53,6 +53,12 @@ class TestParseGazeCsv:
         with pytest.raises(SchemaError, match="row 2.*gaze_x"):
             parse_gaze_csv(gaze_csv(rows))
 
+    @pytest.mark.parametrize("frame", ["nan", "inf", "-inf", "1e300"])
+    def test_unrepresentable_frame_reports_row(self, frame):
+        rows = ["0,0,0,0,600,0", f"{frame},33,0,0,600,0"]
+        with pytest.raises(SchemaError, match="row 2.*frame"):
+            parse_gaze_csv(gaze_csv(rows))
+
     def test_eyelid_aperture_drives_closure(self):
         header = "frame,timestamp_ms,gaze_x,gaze_y,screen_distance_mm,eyelid_aperture"
         seq = parse_gaze_csv(gaze_csv(["0,0,0,0,600,0.1", "1,33,0,0,600,0.4"], header=header))
