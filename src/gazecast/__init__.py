@@ -12,7 +12,6 @@ from .evaluation import (
     RankingReport,
     SelectionReport,
     cross_val_cc,
-    evaluate_predictions,
     grid_search_c,
     kfold_split,
     pearson_cc,
@@ -30,13 +29,11 @@ from .features import (
     eye_closure_stats,
     feature_names,
     fixation_zone_stats,
-    periodogram,
     scan_path_stats,
 )
 from .ingest import (
     AnnotationTrack,
     ChannelSpec,
-    GazeSample,
     GazeSequence,
     SynthesisSpec,
     ValidationReport,
@@ -56,10 +53,8 @@ from .regression import (
     kkt_violations,
     load_model,
     save_model,
-    standardize_fit,
     svr_fit,
-    svr_predict,
 )
-from .windowing import LabeledWindow, Window, align_annotations, segment
+from .windowing import Window, segment
 
 __version__ = "0.1.0"

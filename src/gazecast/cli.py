@@ -27,6 +27,7 @@ from .ingest import (
     DEFAULT_CLOSURE_THRESHOLD,
     DIMENSIONS,
     SynthesisSpec,
+    csv_rows,
     parse_annotation_csv,
     parse_gaze_csv,
     synthesize_sequence,
@@ -77,18 +78,15 @@ def feature_csv_text(spans: np.ndarray, matrix: np.ndarray) -> str:
 
 def read_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature CSV back into (spans (k,2), features (k,31))."""
-    import csv
-
     with open(path, "r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty feature CSV") from None
+        records = csv_rows(f)
+        _, header = next(records, (0, None))
+        if header is None:
+            raise SchemaError(f"{path}: empty feature CSV")
         if header != FEATURE_CSV_HEADER:
             raise SchemaError(f"{path}: feature CSV header does not match the canonical 31-feature layout")
         spans, rows = [], []
-        for row_no, row in enumerate(reader, start=1):
+        for row_no, row in records:
             if not row:
                 continue
             if len(row) != len(FEATURE_CSV_HEADER):
@@ -185,17 +183,7 @@ def _add_drop_flag(p: argparse.ArgumentParser) -> None:
 
 def _svr_config(args, dimension: str) -> SvrConfig:
     c = args.complexity if args.complexity is not None else DEFAULT_COMPLEXITY[dimension]
-    return SvrConfig(
-        complexity_c=c,
-        epsilon=args.epsilon,
-        tolerance=args.tolerance,
-        max_passes=args.max_passes,
-        seed=args.seed,
-    )
-
-
-def _resolve_drop(flag, dimension: str) -> bool:
-    return (dimension == "valence") if flag is None else bool(flag)
+    return SvrConfig(complexity_c=c, epsilon=args.epsilon, tolerance=args.tolerance, max_passes=args.max_passes)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -220,18 +208,36 @@ def _load_sequence(path: str | Path, args):
     return seq
 
 
-def _load_training_set(args, dimension: str) -> tuple[TrainingSet, int]:
-    spans, x = read_feature_csv(args.features)
-    with open(args.annotations, "r", encoding="utf-8", newline="") as f:
+def _extract_spans(path: str | Path, args, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Load, segment and extract one gaze CSV: (spans (k, 2), features (k, 31))."""
+    windows = windowing.segment(_load_sequence(path, args), args.window_sec, args.hop_sec)
+    spans = np.array([[w.start_ms, w.end_ms] for w in windows])
+    return spans, extract_matrix(windows, config)
+
+
+def _targets_for(spans: np.ndarray, annotations: str | Path, dimension: str) -> np.ndarray:
+    with open(annotations, "r", encoding="utf-8", newline="") as f:
         track = parse_annotation_csv(f, dimension)
-    targets = windowing.targets_for_spans(spans, track)
-    data = TrainingSet(x, targets, dimension)
-    dropped = 0
-    if _resolve_drop(args.drop_zero_target, dimension):
-        before = data.n_rows
-        data = filter_zero_targets(data)
-        dropped = before - data.n_rows
-    return data, dropped
+    return windowing.targets_for_spans(spans, track)
+
+
+def _read_features_and_targets(args, dimension: str) -> tuple[np.ndarray, np.ndarray]:
+    spans, x = read_feature_csv(args.features)
+    return x, _targets_for(spans, args.annotations, dimension)
+
+
+def _drop_zero_targets(args, data: TrainingSet) -> tuple[TrainingSet, int]:
+    """Apply --drop-zero-target (default: on for valence); returns the set and the rows dropped."""
+    drop = data.dimension == "valence" if args.drop_zero_target is None else args.drop_zero_target
+    if not drop:
+        return data, 0
+    kept = filter_zero_targets(data)
+    return kept, data.n_rows - kept.n_rows
+
+
+def _load_training_set(args, dimension: str) -> tuple[TrainingSet, int]:
+    x, targets = _read_features_and_targets(args, dimension)
+    return _drop_zero_targets(args, TrainingSet(x, targets, dimension))
 
 
 # --- commands ----------------------------------------------------------------
@@ -248,13 +254,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    seq = _load_sequence(args.gaze, args)
-    windows = windowing.segment(seq, args.window_sec, args.hop_sec)
-    config = _feature_config(args)
-    matrix = extract_matrix(windows, config)
-    spans = np.array([[w.start_ms, w.end_ms] for w in windows])
+    spans, matrix = _extract_spans(args.gaze, args, _feature_config(args))
     _write_text_atomic(args.out, feature_csv_text(spans, matrix))
-    logger.info("extracted %d windows from %s", len(windows), args.gaze)
+    logger.info("extracted %d windows from %s", len(spans), args.gaze)
     return 0
 
 
@@ -295,10 +297,7 @@ def cmd_evaluate(args) -> int:
     dimension = args.dimension or model.dimension
     if dimension not in DIMENSIONS:
         raise ValidationError("model has no dimension; pass --dimension")
-    spans, x = read_feature_csv(args.features)
-    with open(args.annotations, "r", encoding="utf-8", newline="") as f:
-        track = parse_annotation_csv(f, dimension)
-    gold = windowing.targets_for_spans(spans, track)
+    x, gold = _read_features_and_targets(args, dimension)
     pred = predict_matrix(model, x)
     report = evaluation.evaluate_arrays(pred, gold, dimension)
     sys.stdout.write(evaluation.format_evaluation(report))
@@ -337,19 +336,12 @@ def _pipeline_rows(entries, base_dir: Path, args, dimension: str) -> tuple[np.nd
     config = _feature_config(args)
     xs, targets, all_spans = [], [], []
     for entry in entries:
-        gaze_path = base_dir / entry["gaze"]
-        ann_path = base_dir / entry["annotations"]
-        seq = _load_sequence(gaze_path, args)
-        windows = windowing.segment(seq, args.window_sec, args.hop_sec)
-        matrix = extract_matrix(windows, config)
-        with open(ann_path, "r", encoding="utf-8", newline="") as f:
-            track = parse_annotation_csv(f, dimension)
-        spans = np.array([[w.start_ms, w.end_ms] for w in windows])
-        t = windowing.targets_for_spans(spans, track)
+        gaze_path, ann_path = base_dir / entry["gaze"], base_dir / entry["annotations"]
+        spans, matrix = _extract_spans(gaze_path, args, config)
         xs.append(matrix)
-        targets.append(t)
+        targets.append(_targets_for(spans, ann_path, dimension))
         all_spans.append(spans)
-        logger.info("pipeline: %s -> %d windows", gaze_path, len(windows))
+        logger.info("pipeline: %s -> %d windows", gaze_path, len(spans))
     return np.vstack(xs), np.concatenate(targets), np.vstack(all_spans)
 
 
@@ -367,12 +359,7 @@ def cmd_pipeline(args) -> int:
     base = manifest_path.parent
 
     x_train, y_train, _ = _pipeline_rows(train_entries, base, args, dimension)
-    data = TrainingSet(x_train, y_train, dimension)
-    dropped = 0
-    if _resolve_drop(args.drop_zero_target, dimension):
-        before = data.n_rows
-        data = filter_zero_targets(data)
-        dropped = before - data.n_rows
+    data, dropped = _drop_zero_targets(args, TrainingSet(x_train, y_train, dimension))
     logger.info("training on %d row(s) (%d zero-target row(s) dropped)", data.n_rows, dropped)
     model = _train_model(args, data, dimension)
 
@@ -421,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_drop_flag(p)
     p.add_argument("--grid-c", default=None, help="comma-separated C grid; picks the CV-best (e.g. 0.01,0.1,1)")
     p.add_argument("--folds", type=int, default=10, help="CV folds for --grid-c (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="seed for CV splits and the solver (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="seed for CV splits (default 0)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a model to a feature CSV")
@@ -468,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_drop_flag(p)
     p.add_argument("--grid-c", default=None, help="comma-separated C grid; picks the CV-best")
     p.add_argument("--folds", type=int, default=10, help="CV folds for --grid-c (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="seed for CV splits and the solver (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="seed for CV splits (default 0)")
     p.add_argument("--model-out", default=None, help="also save the trained model")
     p.add_argument("--csv-out", default=None, help="also write the evaluation report as CSV")
     p.add_argument("--predictions-out", default=None, help="also write held-out predictions as CSV")

@@ -10,14 +10,13 @@ rather than erroring, and are counted in the reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
-from .features import FEATURE_NAMES, FeatureConfig, extract
-from .regression import SvrConfig, SvrModel, TrainingSet, fit_linear_svr, predict_matrix, svr_predict
-from .windowing import LabeledWindow
+from .features import FEATURE_NAMES
+from .regression import SvrConfig, TrainingSet, fit_linear_svr, predict_matrix
 
 WORST_CC = -1.0
 
@@ -90,13 +89,7 @@ def grid_search_c(
         raise ValidationError("empty complexity grid")
     results = []
     for c in cs:
-        cfg = SvrConfig(
-            complexity_c=float(c),
-            epsilon=base_config.epsilon,
-            tolerance=base_config.tolerance,
-            max_passes=base_config.max_passes,
-            seed=base_config.seed,
-        )
+        cfg = replace(base_config, complexity_c=float(c))
         mean_cc, _, _ = cross_val_cc(x, y, cfg, k, seed)
         results.append((float(c), mean_cc))
     best_score = max(score for _, score in results)
@@ -119,29 +112,21 @@ class RankingReport:
 def rank_by_correlation(data: TrainingSet) -> RankingReport:
     """Signed Pearson CC of each feature against the target, sorted descending.
 
-    Zero-variance features score 0; ties break by canonical feature index.
+    Zero-variance features (those :func:`pearson_cc` calls degenerate) score 0;
+    ties break by canonical feature index.
     """
     if data.n_rows < 3:
         raise ValidationError("ranking needs at least 3 rows")
     y = data.targets
-    if np.all(y == y[0]):
-        raise DegenerateDataError("target has zero variance; ranking undefined")
     dy = y - np.mean(y)
-    ssy = float(dy @ dy)
-    if ssy == 0.0:
+    if np.all(y == y[0]) or float(dy @ dy) == 0.0:
         raise DegenerateDataError("target has zero variance; ranking undefined")
     ccs = []
-    for j in range(data.features.shape[1]):
-        col = data.features[:, j]
-        if np.all(col == col[0]):
+    for col in data.features.T:
+        try:
+            ccs.append(pearson_cc(col, y))
+        except DegenerateDataError:
             ccs.append(0.0)
-            continue
-        dc = col - np.mean(col)
-        ssc = float(dc @ dc)
-        if ssc == 0.0:
-            ccs.append(0.0)
-        else:
-            ccs.append(float(np.clip((dc @ dy) / np.sqrt(ssc * ssy), -1.0, 1.0)))
     order = sorted(range(len(ccs)), key=lambda j: (-ccs[j], j))
     entries = tuple((FEATURE_NAMES[j], ccs[j]) for j in order)
     return RankingReport(entries=entries, dimension=data.dimension)
@@ -236,17 +221,6 @@ def evaluate_arrays(pred: np.ndarray, gold: np.ndarray, dimension: str) -> Evalu
         return EvaluationReport(
             dimension=dimension, n_windows=len(gold), cc=None, residuals=residuals, error=str(e)
         )
-
-
-def evaluate_predictions(
-    model: SvrModel, labeled: list[LabeledWindow], feature_config: FeatureConfig = FeatureConfig()
-) -> EvaluationReport:
-    """Extract features for each labeled window, predict, and score with Pearson CC."""
-    if not labeled:
-        raise ValidationError("no labeled windows to evaluate")
-    pred = np.array([svr_predict(model, extract(lw.window, feature_config)) for lw in labeled])
-    gold = np.array([lw.target for lw in labeled])
-    return evaluate_arrays(pred, gold, labeled[0].dimension)
 
 
 # --- report rendering --------------------------------------------------------

@@ -100,13 +100,14 @@ class FeatureConfig:
     psd_pad_resolution_hz: float = 0.011
 
     def __post_init__(self):
-        if self.velocity_threshold <= 0:
+        # Written as not (v > 0) so that NaN fails them too.
+        if not (self.velocity_threshold > 0):
             raise ValidationError("velocity_threshold must be > 0")
-        if self.zone_grid < 1:
+        if not (self.zone_grid >= 1):
             raise ValidationError("zone_grid must be >= 1")
         if self.psd_mode not in PSD_MODES:
             raise ValidationError(f"psd_mode must be one of {PSD_MODES}")
-        if self.psd_pad_resolution_hz <= 0:
+        if not (self.psd_pad_resolution_hz > 0):
             raise ValidationError("psd_pad_resolution_hz must be > 0")
         xmin, xmax, ymin, ymax = self.zone_bounds
         if not (xmax > xmin and ymax > ymin):
@@ -251,24 +252,6 @@ def descriptive_stats(series) -> DescriptiveStats | np.ndarray:
         out[~const, 3] = q2 - q1
         out[~const, 4] = q3 - q2
     return DescriptiveStats(*_unbatch(out, True)) if single else out
-
-
-def periodogram(series, rate_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unpadded full periodogram of the mean-removed series.
-
-    Returns (freqs, power) over all N DFT bins with power[k] = |X[k]|**2 / N,
-    so the bin sum equals N times the population variance (Parseval).
-    """
-    x = np.asarray(series, dtype=np.float64)
-    if len(x) < 2:
-        raise ValidationError("periodogram needs at least 2 samples")
-    if rate_hz <= 0:
-        raise ValidationError("rate_hz must be > 0")
-    x = x - (x[0] if np.all(x == x[0]) else np.mean(x))  # constant -> exactly zero signal
-    spec = np.fft.fft(x)
-    power = (spec.real**2 + spec.imag**2) / len(x)
-    freqs = np.fft.fftfreq(len(x), d=1.0 / rate_hz)
-    return freqs, power
 
 
 def band_psd(series, rate_hz: float, config: FeatureConfig = FeatureConfig()) -> np.ndarray:

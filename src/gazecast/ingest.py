@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -23,18 +24,6 @@ from .errors import SchemaError, ValidationError
 GAZE_COLUMNS = ("frame", "timestamp_ms", "gaze_x", "gaze_y", "screen_distance_mm")
 DIMENSIONS = ("arousal", "valence")
 DEFAULT_CLOSURE_THRESHOLD = 0.15
-
-
-@dataclass(frozen=True)
-class GazeSample:
-    """One frame's gaze measurement."""
-
-    frame_index: int
-    timestamp_ms: float
-    gaze_x: float
-    gaze_y: float
-    screen_distance_mm: float
-    eye_closed: bool
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -83,20 +72,6 @@ class GazeSequence:
 
     def __len__(self) -> int:
         return len(self.timestamp_ms)
-
-    def sample(self, i: int) -> GazeSample:
-        return GazeSample(
-            frame_index=int(self.frame_index[i]),
-            timestamp_ms=float(self.timestamp_ms[i]),
-            gaze_x=float(self.gaze_x[i]),
-            gaze_y=float(self.gaze_y[i]),
-            screen_distance_mm=float(self.screen_distance_mm[i]),
-            eye_closed=bool(self.eye_closed[i]),
-        )
-
-    @property
-    def samples(self) -> list[GazeSample]:
-        return [self.sample(i) for i in range(len(self))]
 
     @property
     def nominal_rate_hz(self) -> float:
@@ -155,6 +130,26 @@ class ValidationReport:
     issues: tuple[str, ...] = ()
 
 
+def csv_rows(stream: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Yield (row, cells) for each CSV record of *stream*, numbered from 0.
+
+    With a header record first, a record's number is its 1-based data row.
+    Text the csv module cannot read (a field over its size limit, a bare
+    carriage return inside a field) and undecodable bytes become a
+    SchemaError naming the line.
+    """
+    reader = csv.reader(stream)
+    try:
+        yield from enumerate(reader)
+    except csv.Error as e:
+        raise SchemaError(f"line {reader.line_num}: unreadable CSV: {e}") from None
+    except UnicodeDecodeError as e:
+        # A text stream decodes its next chunk only when the text it holds has
+        # no line break left, so the failed chunk starts inside the next line.
+        line = reader.line_num + 1 + len(re.findall(rb"\r\n?|\n", e.object[: e.start]))
+        raise SchemaError(f"line {line}: text is not {e.encoding}: {e.reason}") from None
+
+
 def _parse_float(cell: str, row: int, column: str) -> float:
     try:
         return float(cell)
@@ -182,11 +177,10 @@ def parse_gaze_csv(
     counted closed when aperture <= *closure_threshold*). Extra columns are
     ignored. Errors are reported with the 1-based data row number.
     """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("gaze CSV is empty (header row required)") from None
+    rows = csv_rows(stream)
+    _, header = next(rows, (0, None))
+    if header is None:
+        raise SchemaError("gaze CSV is empty (header row required)")
     header = [h.strip() for h in header]
     col = {name: idx for idx, name in enumerate(header)}
     missing = [c for c in GAZE_COLUMNS if c not in col]
@@ -202,7 +196,7 @@ def parse_gaze_csv(
     frames, ts, xs, ys, dists, closed = [], [], [], [], [], []
     width = max(col[c] for c in GAZE_COLUMNS) + 1
     width = max(width, eye_col + 1)
-    for row_no, row in enumerate(reader, start=1):
+    for row_no, row in rows:
         if not row:
             continue
         if len(row) < width:
@@ -245,11 +239,10 @@ def parse_annotation_csv(stream: TextIO, dimension: str) -> AnnotationTrack:
     not parse as a number is treated as a header. Any later non-numeric row
     is a :class:`SchemaError` naming its data row.
     """
-    reader = csv.reader(stream)
     ts, values = [], []
     row_no = 0
     first_line = True
-    for raw in reader:
+    for _, raw in csv_rows(stream):
         if not raw:
             continue
         if first_line:

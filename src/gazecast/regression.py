@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError, SchemaError, ValidationError
-from .features import FEATURE_NAMES, N_FEATURES, FeatureVector
+from .features import FEATURE_NAMES, N_FEATURES
 from .ingest import DIMENSIONS
 
 logger = logging.getLogger(__name__)
@@ -32,25 +32,25 @@ MODEL_MAGIC = "GAZESVR1"
 class SvrConfig:
     """Solver settings. complexity_c and epsilon apply to z-scored data.
 
-    max_passes caps the number of pairwise working-set updates; seed is kept
-    for interface stability (the maximal-violating-pair sweep is already
-    deterministic, ties resolving to the lowest slot index).
+    max_passes caps the number of pairwise working-set updates. The
+    maximal-violating-pair sweep is deterministic, ties resolving to the
+    lowest slot index, so the solver takes no seed.
     """
 
     complexity_c: float
     epsilon: float = 0.001
     tolerance: float = 0.001
     max_passes: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.complexity_c <= 0:
+        # Written as not (v > 0) so that NaN fails them too.
+        if not (self.complexity_c > 0):
             raise ValidationError("complexity_c must be > 0")
-        if self.epsilon < 0:
+        if not (self.epsilon >= 0):
             raise ValidationError("epsilon must be >= 0")
-        if self.tolerance <= 0:
+        if not (self.tolerance > 0):
             raise ValidationError("tolerance must be > 0")
-        if self.max_passes < 1:
+        if not (self.max_passes >= 1):
             raise ValidationError("max_passes must be >= 1")
 
 
@@ -105,6 +105,8 @@ class SvrModel:
             raise ValidationError("model parameters must be finite")
         if np.any(self.feature_stds < 0):
             raise ValidationError("feature_stds must be >= 0")
+        if self.dimension not in (*DIMENSIONS, ""):
+            raise ValidationError(f"model dimension must be one of {DIMENSIONS} or empty, got {self.dimension!r}")
 
 
 @dataclass
@@ -130,14 +132,6 @@ class TrainingSet:
     @property
     def n_rows(self) -> int:
         return len(self.targets)
-
-
-@dataclass(frozen=True)
-class Standardization:
-    feature_means: np.ndarray
-    feature_stds: np.ndarray
-    target_mean: float
-    target_std: float
 
 
 def filter_zero_targets(data: TrainingSet) -> TrainingSet:
@@ -176,16 +170,6 @@ def _standardize_target(y: np.ndarray) -> tuple[float, float, np.ndarray]:
     if t_std == 0.0:
         t_std = 1.0
     return t_mean, t_std, (y - t_mean) / t_std
-
-
-def standardize_fit(data: TrainingSet) -> tuple[Standardization, TrainingSet]:
-    """Z-score features and target; returns the parameters and the standardized set."""
-    means, stds, z = standardize_columns(data.features)
-    t_mean, t_std, z_targets = _standardize_target(data.targets)
-    return (
-        Standardization(means, stds, t_mean, t_std),
-        TrainingSet(z, z_targets, data.dimension),
-    )
 
 
 def _smo_solve(
@@ -350,16 +334,6 @@ def svr_fit(data: TrainingSet, config: SvrConfig) -> SvrModel:
     return fit_linear_svr(
         data.features, data.targets, config, names=FEATURE_NAMES, dimension=data.dimension
     )
-
-
-def svr_predict(model: SvrModel, x) -> float:
-    """w . x + b in original target units; predictions are not clamped."""
-    if isinstance(x, FeatureVector):
-        x = x.values
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != model.weights.shape:
-        raise ValidationError(f"expected {model.weights.shape[0]} features, got {x.shape}")
-    return float(model.weights @ x + model.bias)
 
 
 def predict_matrix(model: SvrModel, x: np.ndarray) -> np.ndarray:

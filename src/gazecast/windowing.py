@@ -49,19 +49,6 @@ class Window:
         return self.seq.eye_closed[self.lo : self.hi]
 
 
-@dataclass(frozen=True)
-class LabeledWindow:
-    """A window paired with one affect target value in [-1, 1]."""
-
-    window: Window
-    target: float
-    dimension: str
-
-    def __post_init__(self):
-        if not math.isfinite(self.target) or not (-1.0 <= self.target <= 1.0):
-            raise ValidationError(f"window target {self.target} outside [-1, 1]")
-
-
 def expected_window_count(duration_ms: float, window_ms: float, hop_ms: float) -> int:
     """Closed-form count: 0 if too short, else floor((duration-window)/hop)+1."""
     if duration_ms < window_ms:
@@ -76,7 +63,7 @@ def segment(seq: GazeSequence, window_s: float = DEFAULT_WINDOW_S, hop_s: float 
     sample covers one nominal frame interval; trailing partial windows are
     dropped. Raises if a gap leaves an in-span window without samples.
     """
-    if window_s <= 0 or hop_s <= 0:
+    if not (window_s > 0 and hop_s > 0):  # also refuses NaN
         raise ValidationError("window_s and hop_s must be positive")
     window_ms = window_s * 1000.0
     hop_ms = hop_s * 1000.0
@@ -122,12 +109,3 @@ def targets_for_spans(spans: np.ndarray, track: AnnotationTrack) -> np.ndarray:
             j = np.searchsorted(ts, start, side="right") - 1
             targets[i] = float(track.values[max(j, 0)])
     return targets
-
-
-def align_annotations(windows: list[Window], track: AnnotationTrack) -> list[LabeledWindow]:
-    """Pair each window with one target from *track* (see :func:`targets_for_spans`)."""
-    if not windows:
-        raise ValidationError("no windows to align")
-    spans = np.array([[w.start_ms, w.end_ms] for w in windows])
-    targets = targets_for_spans(spans, track)
-    return [LabeledWindow(window=w, target=float(t), dimension=track.dimension) for w, t in zip(windows, targets)]

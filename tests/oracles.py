@@ -50,14 +50,6 @@ def dft_bin(x: np.ndarray, k: int, n_total: int) -> complex:
     return complex(np.sum(x * np.exp(-2j * np.pi * k * idx / n_total)))
 
 
-def dft_periodogram_full(series) -> np.ndarray:
-    """Unpadded full periodogram of the mean-removed series: |X[k]|^2 / n."""
-    x = np.asarray(series, dtype=np.float64)
-    x = x - np.mean(x)
-    n = len(x)
-    return np.array([abs(dft_bin(x, k, n)) ** 2 / n for k in range(n)])
-
-
 def dft_band_psd(series, rate_hz: float, resolution_hz: float = 0.011, mode: str = "hz") -> np.ndarray:
     """Brute-force recomputation of the five band powers."""
     x = np.asarray(series, dtype=np.float64)

@@ -45,6 +45,13 @@ def write_annotation(path: Path, points: list[tuple[float, float]]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Bytes that make a CSV unreadable, and the reason the error names.
+UNREADABLE_TEXT = pytest.mark.parametrize("damage, message", [
+    (b"\xff", "not utf-8"),
+    (b"7" * 200_000, "field larger than field limit"),
+], ids=["byte_ff", "oversized_field"])
+
+
 def make_recording(tmp_path: Path, name: str, seed: int, duration_s=63.0, **kw) -> tuple[Path, Path]:
     spec = tmp_path / f"{name}_spec.json"
     spec.write_text(synth_spec_text(duration_s=duration_s, **kw), encoding="utf-8")
@@ -129,6 +136,42 @@ class TestExtract:
         bad.write_text("\n".join(rows) + "\n")
         assert run("extract", "--gaze", bad, "--out", tmp_path / "f.csv") == 3
         assert "unusable" in capsys.readouterr().err
+
+    @UNREADABLE_TEXT
+    def test_unreadable_gaze_text_exits_2(self, tmp_path, capsys, damage, message):
+        bad = tmp_path / "bad.csv"
+        lines = (FIXTURES / "golden_gaze.csv").read_bytes().splitlines(keepends=True)
+        lines[3] = lines[3][:4] + damage + lines[3][4:]
+        bad.write_bytes(b"".join(lines))
+        assert run("extract", "--gaze", bad, "--out", tmp_path / "f.csv") == 2
+        err = capsys.readouterr().err
+        assert message in err and "line 4" in err
+
+
+class TestNanSettings:
+    """A NaN setting fails its range check (exit 3) instead of a traceback, a silent default or a long solve."""
+
+    @pytest.mark.parametrize("command, flag, message", [
+        ("extract", "--window-sec", "window_s and hop_s must be positive"),
+        ("extract", "--hop-sec", "window_s and hop_s must be positive"),
+        ("extract", "--velocity-threshold", "velocity_threshold must be > 0"),
+        ("extract", "--psd-resolution-hz", "psd_pad_resolution_hz must be > 0"),
+        ("train", "--complexity", "complexity_c must be > 0"),
+        ("train", "--epsilon", "epsilon must be >= 0"),
+        ("train", "--tolerance", "tolerance must be > 0"),
+    ])
+    def test_nan_exits_3(self, tmp_path, capsys, command, flag, message):
+        if command == "extract":
+            argv = ["extract", "--gaze", FIXTURES / "golden_gaze.csv"]
+        else:
+            ann = tmp_path / "ann.csv"
+            write_annotation(ann, [(500.0 * i, 0.1 * (i % 5) - 0.2) for i in range(12)])
+            argv = ["train", "--features", FIXTURES / "golden_features.csv", "--annotations", ann,
+                    "--dimension", "arousal"]
+        out = tmp_path / "out"
+        assert run(*argv, "--out", out, flag, "nan") == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -289,6 +332,31 @@ class TestPredictEvaluate:
         write_annotation(ann, [(500.0 + 1000.0 * i, v) for i, v in enumerate([0.1, -0.2, 0.4])])
         assert run("evaluate", "--model", model_path, "--features", features, "--annotations", ann) == 0
         assert "undefined" in capsys.readouterr().out
+
+    def test_evaluate_refuses_unknown_model_dimension(self, tmp_path, capsys):
+        model = self._identity_model_file(tmp_path)
+        model.write_text(model.read_text().replace("dimension arousal\n", "dimension bogus\n"))
+        features = self._crafted_features(tmp_path, [0.1, -0.2, 0.4])
+        ann = tmp_path / "gold.csv"
+        write_annotation(ann, [(500.0 + 1000.0 * i, v) for i, v in enumerate([0.1, -0.2, 0.4])])
+        assert run("evaluate", "--model", model, "--features", features, "--annotations", ann) == 3
+        err = capsys.readouterr().err
+        assert "'bogus'" in err and "pass --dimension" not in err
+
+    @UNREADABLE_TEXT
+    def test_unreadable_feature_and_annotation_text_exits_2(self, tmp_path, capsys, damage, message):
+        model = self._identity_model_file(tmp_path)
+        features = self._crafted_features(tmp_path, [0.1, -0.2, 0.4])
+        ann = tmp_path / "gold.csv"
+        write_annotation(ann, [(500.0 + 1000.0 * i, v) for i, v in enumerate([0.1, -0.2, 0.4])])
+        for bad in (features, ann):
+            good = bad.read_bytes()
+            lines = good.splitlines(keepends=True)
+            bad.write_bytes(b"".join(lines[:2] + [damage] + lines[2:]))
+            assert run("evaluate", "--model", model, "--features", features, "--annotations", ann) == 2
+            err = capsys.readouterr().err
+            assert message in err and "line 3" in err
+            bad.write_bytes(good)
 
     def test_feature_csv_header_mismatch_exits_2(self, tmp_path):
         model = self._identity_model_file(tmp_path)

@@ -7,7 +7,6 @@ from gazecast.errors import DegenerateDataError, ValidationError
 from gazecast.evaluation import (
     cross_val_cc,
     evaluate_arrays,
-    evaluate_predictions,
     evaluation_csv,
     format_evaluation,
     format_ranking,
@@ -20,9 +19,9 @@ from gazecast.evaluation import (
     selection_csv,
     wrapper_greedy_stepwise,
 )
-from gazecast.features import FEATURE_NAMES, FeatureVector
-from gazecast.regression import SvrConfig, SvrModel, TrainingSet
-from gazecast.windowing import LabeledWindow, segment
+from gazecast.features import FEATURE_NAMES, extract_matrix
+from gazecast.regression import SvrConfig, SvrModel, TrainingSet, predict_matrix
+from gazecast.windowing import segment
 
 from helpers import make_sequence
 from oracles import pearson_oracle
@@ -268,13 +267,10 @@ def _manual_model(weights, bias=0.0):
     )
 
 
-def _labeled_windows(levels):
-    out = []
-    for level in levels:
-        seq = make_sequence(n=90, xs=np.full(90, level))
-        (w,) = segment(seq)
-        out.append(LabeledWindow(window=w, target=level, dimension="arousal"))
-    return out
+def _evaluate_windows(model, levels):
+    """extract_matrix -> predict_matrix -> evaluate_arrays over one window per level, gold = level."""
+    windows = [w for level in levels for w in segment(make_sequence(n=90, xs=np.full(90, level)))]
+    return evaluate_arrays(predict_matrix(model, extract_matrix(windows)), np.array(levels), "arousal")
 
 
 class TestEvaluatePredictions:
@@ -282,23 +278,21 @@ class TestEvaluatePredictions:
         weights = np.zeros(31)
         weights[4] = 1.0  # x_mean passthrough
         model = _manual_model(weights)
-        labeled = _labeled_windows([-0.4, -0.1, 0.2, 0.5])
-        report = evaluate_predictions(model, labeled)
+        report = _evaluate_windows(model, [-0.4, -0.1, 0.2, 0.5])
         assert report.cc == pytest.approx(1.0, abs=1e-12)
         assert report.error is None
         np.testing.assert_allclose(report.residuals, 0.0, atol=1e-12)
 
     def test_constant_model_records_zero_variance(self):
         model = _manual_model(np.zeros(31), bias=0.3)
-        labeled = _labeled_windows([-0.4, 0.0, 0.4])
-        report = evaluate_predictions(model, labeled)
+        report = _evaluate_windows(model, [-0.4, 0.0, 0.4])
         assert report.cc is None
         assert "zero-variance" in report.error
         assert report.n_windows == 3
 
     def test_empty_input(self):
         with pytest.raises(ValidationError):
-            evaluate_predictions(_manual_model(np.zeros(31)), [])
+            _evaluate_windows(_manual_model(np.zeros(31)), [])
 
 
 class TestReportRendering:

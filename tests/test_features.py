@@ -18,14 +18,13 @@ from gazecast.features import (
     eye_closure_stats,
     feature_names,
     fixation_zone_stats,
-    periodogram,
     scan_path_stats,
 )
 from gazecast.ingest import synthesize_sequence
 from gazecast.windowing import segment
 
 from helpers import make_sequence
-from oracles import dft_band_psd, dft_periodogram_full, reference_stats
+from oracles import dft_band_psd, reference_stats
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -141,15 +140,6 @@ class TestBandPsd:
         got = band_psd(x, 30.0, config)
         exp = dft_band_psd(x, 30.0, mode=mode)
         np.testing.assert_allclose(got, exp, rtol=1e-9)
-
-    def test_parseval(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=137)
-        _, power = periodogram(x, 30.0)
-        total = np.sum(power)
-        expected = len(x) * np.var(x)
-        assert total == pytest.approx(expected, rel=1e-9)
-        np.testing.assert_allclose(power, dft_periodogram_full(x), rtol=1e-8, atol=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30)

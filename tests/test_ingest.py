@@ -32,11 +32,10 @@ class TestParseGazeCsv:
     def test_two_wellformed_rows(self):
         seq = parse_gaze_csv(gaze_csv(["0,0,0.1,0.2,600,0", "1,33.3,0.15,0.25,601,1"]))
         assert len(seq) == 2
-        s = seq.sample(1)
-        assert s.frame_index == 1
-        assert s.timestamp_ms == 33.3
-        assert s.gaze_x == 0.15
-        assert s.eye_closed is True
+        assert seq.frame_index[1] == 1
+        assert seq.timestamp_ms[1] == 33.3
+        assert seq.gaze_x[1] == 0.15
+        assert bool(seq.eye_closed[1]) is True
 
     def test_missing_column_named(self):
         header = "frame,timestamp_ms,gaze_x,screen_distance_mm,eye_closed"

@@ -14,10 +14,11 @@ from gazecast.regression import (
     load_model,
     model_from_text,
     model_to_text,
+    _standardize_target,
+    predict_matrix,
     save_model,
-    standardize_fit,
+    standardize_columns,
     svr_fit,
-    svr_predict,
 )
 
 from oracles import qp_oracle_svr
@@ -68,26 +69,25 @@ class TestStandardize:
         data = training_set([0.1, 0.9], seed=1)
         features = data.features.copy()
         features[:, 0] = [1.0, 3.0]
-        data = TrainingSet(features, data.targets, data.dimension)
-        _, z = standardize_fit(data)
-        assert z.features[0, 0] == pytest.approx(-0.7071067811865475, rel=1e-12)
-        assert z.features[1, 0] == pytest.approx(0.7071067811865475, rel=1e-12)
+        _, _, z = standardize_columns(features)
+        assert z[0, 0] == pytest.approx(-0.7071067811865475, rel=1e-12)
+        assert z[1, 0] == pytest.approx(0.7071067811865475, rel=1e-12)
 
     def test_constant_column_sentinel(self):
         data = training_set([0.1, 0.9, -0.4], seed=2)
         features = data.features.copy()
         features[:, 5] = 1.3  # non-dyadic on purpose
-        data = TrainingSet(features, data.targets, data.dimension)
-        params, z = standardize_fit(data)
-        assert params.feature_stds[5] == 1.0
-        assert np.all(z.features[:, 5] == 0.0)
+        _, stds, z = standardize_columns(features)
+        assert stds[5] == 1.0
+        assert np.all(z[:, 5] == 0.0)
 
     def test_roundtrip(self):
         data = training_set(np.linspace(-0.9, 0.9, 7), seed=3)
-        params, z = standardize_fit(data)
-        back = z.features * params.feature_stds + params.feature_means
+        means, stds, z = standardize_columns(data.features)
+        back = z * stds + means
         np.testing.assert_allclose(back, data.features, rtol=1e-12, atol=1e-12)
-        back_t = z.targets * params.target_std + params.target_mean
+        t_mean, t_std, z_targets = _standardize_target(data.targets)
+        back_t = z_targets * t_std + t_mean
         np.testing.assert_allclose(back_t, data.targets, rtol=1e-12, atol=1e-12)
 
 
@@ -96,8 +96,8 @@ class TestSvrFit:
         x = np.array([[1.0], [2.0], [3.0]])
         y = np.array([2.0, 4.0, 6.0])
         model = fit_linear_svr(x, y, SvrConfig(complexity_c=1000.0, epsilon=0.001))
-        assert svr_predict(model, np.array([4.0])) == pytest.approx(8.0, abs=0.05)
-        assert svr_predict(model, np.array([1.0])) == pytest.approx(2.0, abs=0.05)
+        pred = predict_matrix(model, np.array([[4.0], [1.0]]))
+        assert pred.tolist() == pytest.approx([8.0, 2.0], abs=0.05)
 
     def test_constant_target(self):
         rng = np.random.default_rng(4)
@@ -228,22 +228,14 @@ class TestPredict:
         data = training_set(np.full(5, 0.2), seed=12)
         model = svr_fit(data, SvrConfig(complexity_c=0.0325))
         for _ in range(3):
-            x = np.random.default_rng(13).normal(size=31)
-            assert svr_predict(model, x) == 0.2
+            x = np.random.default_rng(13).normal(size=(1, 31))
+            assert predict_matrix(model, x).tolist() == [0.2]
 
     def test_dimension_mismatch(self):
         data = training_set([0.1, 0.4, -0.2], seed=14)
         model = svr_fit(data, SvrConfig(complexity_c=0.0325))
         with pytest.raises(ValidationError):
-            svr_predict(model, np.ones(30))
-
-    def test_accepts_feature_vector(self):
-        from gazecast.features import FeatureVector
-
-        data = training_set([0.1, 0.4, -0.2], seed=15)
-        model = svr_fit(data, SvrConfig(complexity_c=0.0325))
-        fv = FeatureVector(np.zeros(31))
-        assert svr_predict(model, fv) == pytest.approx(model.bias)
+            predict_matrix(model, np.ones((1, 30)))
 
 
 class TestModelFile:
@@ -287,6 +279,13 @@ class TestModelFile:
         text = model_to_text(model)
         with pytest.raises(SchemaError):
             model_from_text("\n".join(text.splitlines()[:10]))
+
+    def test_unknown_dimension_is_refused(self):
+        text = model_to_text(self._model())
+        assert "dimension valence\n" in text
+        with pytest.raises(ValidationError, match="'bogus'"):
+            model_from_text(text.replace("dimension valence\n", "dimension bogus\n"))
+        assert model_from_text(text.replace("dimension valence\n", "dimension -\n")).dimension == ""
 
     def test_loaded_model_cannot_be_audited(self, tmp_path):
         model = self._model()

@@ -5,13 +5,7 @@ from hypothesis import strategies as st
 
 from gazecast.errors import ValidationError
 from gazecast.ingest import AnnotationTrack, GazeSequence
-from gazecast.windowing import (
-    LabeledWindow,
-    align_annotations,
-    expected_window_count,
-    segment,
-    targets_for_spans,
-)
+from gazecast.windowing import expected_window_count, segment, targets_for_spans
 
 from helpers import make_sequence
 from oracles import loop_window_count
@@ -100,45 +94,43 @@ class TestSegment:
             assert (a.lo, a.hi) == (b.lo, b.hi)
 
 
+def spans_of(windows) -> np.ndarray:
+    return np.array([[w.start_ms, w.end_ms] for w in windows])
+
+
 class TestAlign:
-    def _windows(self, n_windows=4):
-        seq = make_sequence(n=90 + 60 * (n_windows - 1), rate_hz=30.0)
-        return segment(seq)
+    def _spans(self, n_windows=4):
+        return spans_of(segment(make_sequence(n=90 + 60 * (n_windows - 1), rate_hz=30.0)))
 
     def test_one_point_per_window_is_identity(self):
-        windows = self._windows(4)
+        spans = self._spans(4)
         # one point inside each window's private [start, start+hop) stretch
         track = AnnotationTrack(
             np.array([100.0, 2100.0, 4100.0, 6100.0, 9000.0]),
             np.array([0.1, 0.2, 0.3, 0.4, 0.4]),
             "valence",
         )
-        labeled = align_annotations(windows, track)
+        targets = targets_for_spans(spans, track)
         # each window [k*2000, k*2000+3000) holds points at k*2000+100 ... and any
         # later points that fall before its end
-        assert labeled[0].target == pytest.approx(np.mean([0.1, 0.2]))
-        assert labeled[1].target == pytest.approx(np.mean([0.2, 0.3]))
-        assert labeled[3].target == pytest.approx(np.mean([0.4, 0.4]))
+        assert targets[0] == pytest.approx(np.mean([0.1, 0.2]))
+        assert targets[1] == pytest.approx(np.mean([0.2, 0.3]))
+        assert targets[3] == pytest.approx(np.mean([0.4, 0.4]))
 
     def test_mean_of_in_span_points(self):
-        windows = self._windows(1)
         track = AnnotationTrack(np.array([500.0, 1500.0, 3500.0]), np.array([0.2, 0.4, 0.9]), "arousal")
-        labeled = align_annotations(windows, track)
-        assert labeled[0].target == pytest.approx(0.3)
-        assert labeled[0].dimension == "arousal"
+        assert targets_for_spans(self._spans(1), track).tolist() == pytest.approx([0.3])
 
     def test_empty_span_takes_last_value_at_or_before_start(self):
-        windows = self._windows(4)
         track = AnnotationTrack(np.array([0.0, 900.0, 9000.0]), np.array([0.5, -0.5, -0.5]), "valence")
-        labeled = align_annotations(windows, track)
+        targets = targets_for_spans(self._spans(4), track)
         # window 2 spans [4000, 7000): no interior point except ts=9000 is beyond; last <= 4000 is -0.5
-        assert labeled[2].target == pytest.approx(-0.5)
+        assert targets[2] == pytest.approx(-0.5)
 
     def test_track_ending_early_is_coverage_error(self):
-        windows = self._windows(4)
         track = AnnotationTrack(np.array([0.0, 4000.0]), np.array([0.5, 0.5]), "valence")
         with pytest.raises(ValidationError, match="ends at"):
-            align_annotations(windows, track)
+            targets_for_spans(self._spans(4), track)
 
     def test_track_before_first_window(self):
         spans = np.array([[1000.0, 4000.0]])
@@ -158,23 +150,32 @@ class TestAlign:
             targets_for_spans(spans, track)
 
     def test_time_shift_preserves_targets(self):
-        windows = self._windows(3)
+        seq = make_sequence(n=90 + 60 * 2, rate_hz=30.0)
         ts = np.array([100.0, 2100.0, 4100.0, 7100.0])
         vals = np.array([0.1, -0.2, 0.3, 0.05])
-        base = align_annotations(windows, AnnotationTrack(ts, vals, "valence"))
+        base = targets_for_spans(spans_of(segment(seq)), AnnotationTrack(ts, vals, "valence"))
         shift = 5000.0
         seq2 = GazeSequence(
-            frame_index=np.arange(len(windows[0].seq.timestamp_ms)),
-            timestamp_ms=windows[0].seq.timestamp_ms + shift,
-            gaze_x=windows[0].seq.gaze_x,
-            gaze_y=windows[0].seq.gaze_y,
-            screen_distance_mm=windows[0].seq.screen_distance_mm,
-            eye_closed=windows[0].seq.eye_closed,
+            frame_index=np.arange(len(seq.timestamp_ms)),
+            timestamp_ms=seq.timestamp_ms + shift,
+            gaze_x=seq.gaze_x,
+            gaze_y=seq.gaze_y,
+            screen_distance_mm=seq.screen_distance_mm,
+            eye_closed=seq.eye_closed,
         )
-        shifted = align_annotations(segment(seq2), AnnotationTrack(ts + shift, vals, "valence"))
-        assert [lw.target for lw in base] == [lw.target for lw in shifted]
+        shifted = targets_for_spans(spans_of(segment(seq2)), AnnotationTrack(ts + shift, vals, "valence"))
+        assert base.tolist() == shifted.tolist()
 
-    def test_labeled_window_range_invariant(self):
-        windows = self._windows(1)
-        with pytest.raises(ValidationError):
-            LabeledWindow(window=windows[0], target=1.5, dimension="valence")
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=12),
+        st.floats(0.0, 9000.0),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=50)
+    def test_targets_stay_in_range(self, values, first_ms, n_windows):
+        ts = first_ms + 800.0 * np.arange(len(values))
+        spans = self._spans(n_windows)
+        if ts[-1] < spans[-1, 0]:
+            return  # a coverage error, tested above
+        targets = targets_for_spans(spans, AnnotationTrack(ts, np.array(values), "valence"))
+        assert np.all(np.isfinite(targets)) and np.all(np.abs(targets) <= 1.0)
