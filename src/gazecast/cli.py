@@ -2,8 +2,9 @@
 
 Every command is deterministic given identical inputs, flags, and seed.
 Output files are written atomically (temp file + rename). Exit codes:
-0 ok, 2 input schema error, 3 validation failure, 4 degenerate data,
-5 solver non-convergence. Set GAZECAST_LOG=INFO (or DEBUG) for progress logs.
+0 ok, 2 input schema error or a file that cannot be read or written,
+3 validation failure, 4 degenerate data, 5 solver non-convergence.
+Set GAZECAST_LOG=INFO (or DEBUG) for progress logs.
 """
 
 from __future__ import annotations
@@ -87,8 +88,6 @@ def read_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             raise SchemaError(f"{path}: feature CSV header does not match the canonical 31-feature layout")
         spans, rows = [], []
         for row_no, row in records:
-            if not row:
-                continue
             if len(row) != len(FEATURE_CSV_HEADER):
                 raise SchemaError(f"{path}: data row {row_no}: expected {len(FEATURE_CSV_HEADER)} columns")
             try:
@@ -345,25 +344,32 @@ def _pipeline_rows(entries, base_dir: Path, args, dimension: str) -> tuple[np.nd
     return np.vstack(xs), np.concatenate(targets), np.vstack(all_spans)
 
 
+def _is_manifest_entry(entry) -> bool:
+    return isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("gaze", "annotations"))
+
+
 def cmd_pipeline(args) -> int:
     manifest_path = Path(args.manifest)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        train_entries = manifest["train"]
-        test_entries = manifest["test"]
-    except (json.JSONDecodeError, KeyError) as e:
+    except json.JSONDecodeError as e:
         raise SchemaError(f"bad manifest {args.manifest}: {e}") from None
+    for key in ("train", "test"):
+        entries = manifest.get(key) if isinstance(manifest, dict) else None
+        if not (isinstance(entries, list) and entries and all(_is_manifest_entry(e) for e in entries)):
+            raise SchemaError(f"bad manifest {args.manifest}: {key!r} must be a non-empty list of "
+                              "objects with string 'gaze' and 'annotations' fields")
     dimension = args.dimension or manifest.get("dimension")
     if dimension not in DIMENSIONS:
         raise ValidationError("pipeline needs a dimension (flag or manifest field)")
     base = manifest_path.parent
 
-    x_train, y_train, _ = _pipeline_rows(train_entries, base, args, dimension)
+    x_train, y_train, _ = _pipeline_rows(manifest["train"], base, args, dimension)
     data, dropped = _drop_zero_targets(args, TrainingSet(x_train, y_train, dimension))
     logger.info("training on %d row(s) (%d zero-target row(s) dropped)", data.n_rows, dropped)
     model = _train_model(args, data, dimension)
 
-    x_test, y_test, test_spans = _pipeline_rows(test_entries, base, args, dimension)
+    x_test, y_test, test_spans = _pipeline_rows(manifest["test"], base, args, dimension)
     pred = predict_matrix(model, x_test)
     report = evaluation.evaluate_arrays(pred, y_test, dimension)
     sys.stdout.write(evaluation.format_evaluation(report))
@@ -472,9 +478,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GazecastError as e:
+    except (GazecastError, OSError, UnicodeDecodeError) as e:
         print(f"gazecast: error: {e}", file=sys.stderr)
-        return e.exit_code
+        return e.exit_code if isinstance(e, GazecastError) else SchemaError.exit_code
 
 
 if __name__ == "__main__":

@@ -168,6 +168,10 @@ def wrapper_greedy_stepwise(
     Folds are drawn once and shared by all evaluations, so the result is
     deterministic per seed and independent of candidate evaluation order.
     """
+    if not np.isfinite(min_improvement):
+        raise ValidationError("min_improvement must be finite")
+    if not (max_steps is None or max_steps >= 1):
+        raise ValidationError("max_steps must be None or >= 1")
     x, y = data.features, data.targets
     folds = kfold_split(len(y), k, seed)
     selected: list[int] = []

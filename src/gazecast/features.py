@@ -103,6 +103,8 @@ class FeatureConfig:
         # Written as not (v > 0) so that NaN fails them too.
         if not (self.velocity_threshold > 0):
             raise ValidationError("velocity_threshold must be > 0")
+        if not (self.approach_delta_mm >= 0):
+            raise ValidationError("approach_delta_mm must be >= 0")
         if not (self.zone_grid >= 1):
             raise ValidationError("zone_grid must be >= 1")
         if self.psd_mode not in PSD_MODES:
@@ -266,7 +268,7 @@ def band_psd(series, rate_hz: float, config: FeatureConfig = FeatureConfig()) ->
     (x,), single = _as_rows("band_psd", series)
     if x.shape[1] < 2:
         raise ValidationError("band_psd needs at least 2 samples")
-    if rate_hz <= 0:
+    if not (rate_hz > 0):
         raise ValidationError("rate_hz must be > 0")
     n = x.shape[1]
     n_pad = max(n, int(math.ceil(rate_hz / config.psd_pad_resolution_hz)))

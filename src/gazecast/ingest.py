@@ -6,6 +6,12 @@ timestamps. Affect annotations are sparse (timestamp, value) tracks with
 values in [-1, 1]. Gaze coordinates and distances may be NaN on tracker
 dropout; :func:`validate_sequence` reports those and feature extraction
 refuses windows containing them.
+
+Parse, then validate. A parser reads the whole file into typed columns,
+and the first record that does not fit the schema wins (SchemaError, exit
+2). Only then are value rules checked (ValidationError, exit 3): each lives
+once, in the record type's ``__post_init__``, and names the first bad data
+row. "Data row N" is the N-th non-blank record after the header.
 """
 
 from __future__ import annotations
@@ -29,6 +35,12 @@ DEFAULT_CLOSURE_THRESHOLD = 0.15
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _check_rows(bad: np.ndarray, message: str) -> None:
+    """Raise a ValidationError naming the first data row (1-based) where *bad* is True."""
+    if np.any(bad):
+        raise ValidationError(f"data row {int(np.argmax(bad)) + 1}: {message}")
 
 
 @dataclass
@@ -55,20 +67,15 @@ class GazeSequence:
         self.eye_closed = _readonly(np.asarray(self.eye_closed, dtype=bool).copy())
         n = len(self.timestamp_ms)
         if n < 2:
-            raise ValidationError("a gaze sequence needs at least 2 samples")
+            raise ValidationError(f"a gaze sequence needs at least 2 samples, got {n}")
         for name in ("frame_index", "gaze_x", "gaze_y", "screen_distance_mm", "eye_closed"):
             if len(getattr(self, name)) != n:
                 raise ValidationError(f"column {name} has {len(getattr(self, name))} rows, expected {n}")
-        if not np.all(np.isfinite(self.timestamp_ms)):
-            raise ValidationError("timestamps must be finite")
-        if np.any(np.diff(self.timestamp_ms) <= 0):
-            bad = int(np.flatnonzero(np.diff(self.timestamp_ms) <= 0)[0]) + 2
-            raise ValidationError(f"data row {bad}: timestamp_ms not strictly increasing")
-        if np.any(self.frame_index < 0):
-            raise ValidationError("frame indices must be non-negative")
+        _check_rows(~np.isfinite(self.timestamp_ms), "timestamp_ms must be finite")
+        _check_rows(np.diff(self.timestamp_ms, prepend=-np.inf) <= 0, "timestamp_ms not strictly increasing")
+        _check_rows(self.frame_index < 0, "frame must be >= 0")
         dist = self.screen_distance_mm
-        if np.any(dist[np.isfinite(dist)] <= 0):
-            raise ValidationError("screen_distance_mm must be > 0 where present")
+        _check_rows(np.isfinite(dist) & (dist <= 0), "screen_distance_mm must be > 0 where present")
 
     def __len__(self) -> int:
         return len(self.timestamp_ms)
@@ -97,20 +104,15 @@ class AnnotationTrack:
     def __post_init__(self):
         self.timestamps_ms = _readonly(np.asarray(self.timestamps_ms, dtype=np.float64).copy())
         self.values = _readonly(np.asarray(self.values, dtype=np.float64).copy())
+        if len(self.timestamps_ms) == 0:
+            raise SchemaError("annotation track has no data rows")
         if self.dimension not in DIMENSIONS:
             raise ValidationError(f"dimension must be one of {DIMENSIONS}, got {self.dimension!r}")
-        if len(self.timestamps_ms) == 0:
-            raise SchemaError("annotation track has no points")
         if len(self.values) != len(self.timestamps_ms):
             raise ValidationError("annotation timestamp/value lengths differ")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("annotation values must be finite")
-        if np.any(self.values < -1.0) or np.any(self.values > 1.0):
-            bad = int(np.flatnonzero((self.values < -1.0) | (self.values > 1.0))[0]) + 1
-            raise ValidationError(f"data row {bad}: annotation value outside [-1, 1]")
-        if len(self.timestamps_ms) > 1 and np.any(np.diff(self.timestamps_ms) <= 0):
-            bad = int(np.flatnonzero(np.diff(self.timestamps_ms) <= 0)[0]) + 2
-            raise ValidationError(f"data row {bad}: annotation timestamps not strictly increasing")
+        _check_rows(~np.isfinite(self.timestamps_ms), "annotation timestamp must be finite")
+        _check_rows(~((self.values >= -1.0) & (self.values <= 1.0)), "annotation value outside [-1, 1]")
+        _check_rows(np.diff(self.timestamps_ms, prepend=-np.inf) <= 0, "annotation timestamps not strictly increasing")
 
     def __len__(self) -> int:
         return len(self.timestamps_ms)
@@ -131,7 +133,7 @@ class ValidationReport:
 
 
 def csv_rows(stream: TextIO) -> Iterator[tuple[int, list[str]]]:
-    """Yield (row, cells) for each CSV record of *stream*, numbered from 0.
+    """Yield (row, cells) for each non-blank CSV record of *stream*, numbered from 0.
 
     With a header record first, a record's number is its 1-based data row.
     Text the csv module cannot read (a field over its size limit, a bare
@@ -140,7 +142,7 @@ def csv_rows(stream: TextIO) -> Iterator[tuple[int, list[str]]]:
     """
     reader = csv.reader(stream)
     try:
-        yield from enumerate(reader)
+        yield from enumerate(filter(None, reader))
     except csv.Error as e:
         raise SchemaError(f"line {reader.line_num}: unreadable CSV: {e}") from None
     except UnicodeDecodeError as e:
@@ -177,6 +179,8 @@ def parse_gaze_csv(
     counted closed when aperture <= *closure_threshold*). Extra columns are
     ignored. Errors are reported with the 1-based data row number.
     """
+    if not (closure_threshold >= 0):
+        raise ValidationError("closure_threshold must be >= 0")
     rows = csv_rows(stream)
     _, header = next(rows, (0, None))
     if header is None:
@@ -187,47 +191,40 @@ def parse_gaze_csv(
     if missing:
         raise SchemaError(f"gaze CSV missing required column(s): {', '.join(missing)}")
     if "eye_closed" in col:
-        eye_col, eye_mode = col["eye_closed"], "closed"
+        eye_name = "eye_closed"
     elif "eyelid_aperture" in col:
-        eye_col, eye_mode = col["eyelid_aperture"], "aperture"
+        eye_name = "eyelid_aperture"
     else:
         raise SchemaError("gaze CSV missing required column(s): eye_closed (or eyelid_aperture)")
 
-    frames, ts, xs, ys, dists, closed = [], [], [], [], [], []
+    frames, ts, xs, ys, dists, eyes = [], [], [], [], [], []
+    eye_col = col[eye_name]
     width = max(col[c] for c in GAZE_COLUMNS) + 1
     width = max(width, eye_col + 1)
     for row_no, row in rows:
-        if not row:
-            continue
         if len(row) < width:
             raise SchemaError(f"data row {row_no}: expected at least {width} columns, got {len(row)}")
         frames.append(_parse_frame(row[col["frame"]], row_no))
-        t = _parse_float(row[col["timestamp_ms"]], row_no, "timestamp_ms")
-        if ts and t <= ts[-1]:
-            raise ValidationError(f"data row {row_no}: timestamp_ms not strictly increasing")
-        ts.append(t)
+        ts.append(_parse_float(row[col["timestamp_ms"]], row_no, "timestamp_ms"))
         xs.append(_parse_float(row[col["gaze_x"]], row_no, "gaze_x"))
         ys.append(_parse_float(row[col["gaze_y"]], row_no, "gaze_y"))
         dists.append(_parse_float(row[col["screen_distance_mm"]], row_no, "screen_distance_mm"))
-        if eye_mode == "closed":
-            v = _parse_float(row[eye_col], row_no, "eye_closed")
-            if v not in (0.0, 1.0):
-                raise SchemaError(f"data row {row_no}: eye_closed must be 0 or 1, got {row[eye_col]!r}")
-            closed.append(bool(v))
-        else:
-            ap = _parse_float(row[eye_col], row_no, "eyelid_aperture")
-            if not math.isnan(ap) and ap < 0:
-                raise ValidationError(f"data row {row_no}: eyelid_aperture must be >= 0")
-            closed.append(ap <= closure_threshold)
-    if len(ts) < 2:
-        raise ValidationError(f"gaze CSV has {len(ts)} data row(s); at least 2 required")
+        eye = _parse_float(row[eye_col], row_no, eye_name)
+        if eye_name == "eye_closed" and eye not in (0.0, 1.0):
+            raise SchemaError(f"data row {row_no}: eye_closed must be 0 or 1, got {row[eye_col]!r}")
+        eyes.append(eye)
+    eyes = np.array(eyes)
+    if eye_name == "eyelid_aperture":
+        # The record keeps only the closed/open flag, so this rule is checked here.
+        _check_rows(eyes < 0, "eyelid_aperture must be >= 0")
+        eyes = eyes <= closure_threshold
     return GazeSequence(
         frame_index=np.array(frames),
         timestamp_ms=np.array(ts),
         gaze_x=np.array(xs),
         gaze_y=np.array(ys),
         screen_distance_mm=np.array(dists),
-        eye_closed=np.array(closed),
+        eye_closed=eyes,
         source_id=source_id,
     )
 
@@ -240,30 +237,19 @@ def parse_annotation_csv(stream: TextIO, dimension: str) -> AnnotationTrack:
     is a :class:`SchemaError` naming its data row.
     """
     ts, values = [], []
-    row_no = 0
-    first_line = True
-    for _, raw in csv_rows(stream):
-        if not raw:
-            continue
-        if first_line:
-            first_line = False
+    shift = 1  # without a header, record 0 is data row 1
+    for row_no, raw in csv_rows(stream):
+        if row_no == 0:
             try:
                 float(raw[0])
             except ValueError:
+                shift = 0
                 continue  # header line
-        row_no += 1
+        row_no += shift
         if len(raw) < 2:
             raise SchemaError(f"data row {row_no}: expected 2 columns, got {len(raw)}")
-        t = _parse_float(raw[0], row_no, "timestamp_ms")
-        v = _parse_float(raw[1], row_no, "value")
-        if not (-1.0 <= v <= 1.0):
-            raise ValidationError(f"data row {row_no}: annotation value {v} outside [-1, 1]")
-        if ts and t <= ts[-1]:
-            raise ValidationError(f"data row {row_no}: annotation timestamps not strictly increasing")
-        ts.append(t)
-        values.append(v)
-    if not ts:
-        raise SchemaError("annotation CSV has no data rows")
+        ts.append(_parse_float(raw[0], row_no, "timestamp_ms"))
+        values.append(_parse_float(raw[1], row_no, "value"))
     return AnnotationTrack(np.array(ts), np.array(values), dimension)
 
 
@@ -349,6 +335,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValidationError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
+        if not (self.noise_std >= 0):
+            raise ValidationError("noise_std must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -367,13 +355,18 @@ class SynthesisSpec:
     blinks_ms: tuple[tuple[float, float], ...] = ()
     source_id: str = "synthetic"
 
+    def __post_init__(self):
+        # Written as not (v > 0) so that NaN fails too; a finite product bounds the sample count.
+        if not (self.duration_s > 0 and self.rate_hz > 0 and math.isfinite(self.duration_s * self.rate_hz)):
+            raise ValidationError("duration_s and rate_hz must be positive with a finite product")
+
     @classmethod
     def from_dict(cls, d: dict) -> "SynthesisSpec":
         def channel(key, default):
             specs = d.get(key)
             if specs is None:
                 return default
-            return tuple(ChannelSpec(**c) for c in specs)
+            return tuple(ChannelSpec(c["kind"], **{k: float(v) for k, v in c.items() if k != "kind"}) for c in specs)
 
         return cls(
             duration_s=float(d["duration_s"]),
@@ -389,7 +382,7 @@ class SynthesisSpec:
     def from_json(cls, text: str) -> "SynthesisSpec":
         try:
             return cls.from_dict(json.loads(text))
-        except (json.JSONDecodeError, KeyError, TypeError) as e:
+        except (KeyError, TypeError, ValueError) as e:  # ValueError includes json.JSONDecodeError
             raise SchemaError(f"bad synthesis spec: {e}") from None
 
 
@@ -410,8 +403,6 @@ def _render_channel(components: tuple[ChannelSpec, ...], t_s: np.ndarray, seed: 
 
 def synthesize_sequence(spec: SynthesisSpec, seed: int) -> GazeSequence:
     """Render *spec* into a gaze sequence; bit-identical for a given (spec, seed)."""
-    if spec.duration_s <= 0 or spec.rate_hz <= 0:
-        raise ValidationError("duration_s and rate_hz must be positive")
     n = int(round(spec.duration_s * spec.rate_hz))
     if n < 2:
         raise ValidationError(f"spec yields {n} samples; at least 2 required")

@@ -274,10 +274,8 @@ def fit_linear_svr(
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or len(x) != len(y):
         raise ValidationError("x must be (n, d) with one target per row")
-    if len(y) == 0:
-        raise DegenerateDataError("empty training data")
     if len(y) < 2:
-        raise DegenerateDataError("fitting needs at least 2 rows")
+        raise DegenerateDataError(f"fitting needs at least 2 rows, got {len(y)}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("non-finite feature or target values")
 

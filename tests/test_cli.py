@@ -159,19 +159,59 @@ class TestNanSettings:
         ("train", "--complexity", "complexity_c must be > 0"),
         ("train", "--epsilon", "epsilon must be >= 0"),
         ("train", "--tolerance", "tolerance must be > 0"),
+        ("extract", "--approach-delta-mm", "approach_delta_mm must be >= 0"),
+        ("extract", "--closure-threshold", "closure_threshold must be >= 0"),
+        ("select", "--min-improvement", "min_improvement must be finite"),
     ])
     def test_nan_exits_3(self, tmp_path, capsys, command, flag, message):
+        self._check_exits_3(tmp_path, capsys, command, flag, "nan", message)
+
+    def test_max_steps_below_one_exits_3(self, tmp_path, capsys):
+        self._check_exits_3(tmp_path, capsys, "select", "--max-steps", "-1", "max_steps must be None or >= 1")
+
+    @staticmethod
+    def _check_exits_3(tmp_path, capsys, command, flag, value, message):
         if command == "extract":
             argv = ["extract", "--gaze", FIXTURES / "golden_gaze.csv"]
         else:
             ann = tmp_path / "ann.csv"
             write_annotation(ann, [(500.0 * i, 0.1 * (i % 5) - 0.2) for i in range(12)])
-            argv = ["train", "--features", FIXTURES / "golden_features.csv", "--annotations", ann,
+            argv = [command, "--features", FIXTURES / "golden_features.csv", "--annotations", ann,
                     "--dimension", "arousal"]
         out = tmp_path / "out"
-        assert run(*argv, "--out", out, flag, "nan") == 3
+        assert run(*argv, "--csv-out" if command == "select" else "--out", out, flag, value) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+ENTRY = {"gaze": "g.csv", "annotations": "a.csv"}
+
+
+class TestFileFaults:
+    """A missing, unwritable or undecodable file, or a malformed manifest, exits 2 with a message."""
+
+    @pytest.mark.parametrize("argv, content, message", [
+        ("extract --gaze {tmp}/nope.csv --out {tmp}/f.csv", None, "No such file or directory"),
+        ("extract --gaze {golden} --out {tmp}/missing/f.csv", None, "No such file or directory"),
+        ("pipeline --manifest {file}", json.dumps({"train": [], "test": [ENTRY]}), "'train' must be a non-empty list"),
+        ("pipeline --manifest {file}", json.dumps({"train": [ENTRY], "test": [{"gaze": "g.csv"}]}),
+         "'test' must be a non-empty list"),
+        ("pipeline --manifest {file}", json.dumps({"train": "g.csv", "test": [ENTRY]}),
+         "'train' must be a non-empty list"),
+        ("pipeline --manifest {file}", b'{"train": \xff}', "can't decode byte 0xff"),
+        ("synth --spec {file} --out {tmp}/g.csv", b'{"duration_s": \xff}', "can't decode byte 0xff"),
+        ("predict --model {file} --features {golden_features} --out {tmp}/p.csv", b"GAZESVR1\n\xff\n",
+         "can't decode byte 0xff"),
+    ], ids=["missing_input", "missing_output_directory", "empty_train_list", "entry_without_annotations",
+            "train_not_a_list", "byte_ff_in_manifest", "byte_ff_in_spec", "byte_ff_in_model"])
+    def test_exits_2(self, tmp_path, capsys, argv, content, message):
+        file = tmp_path / "input"
+        if content is not None:
+            file.write_bytes(content.encode() if isinstance(content, str) else content)
+        argv = argv.format(tmp=tmp_path, file=file, golden=FIXTURES / "golden_gaze.csv",
+                           golden_features=FIXTURES / "golden_features.csv")
+        assert run(*argv.split()) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTrain:

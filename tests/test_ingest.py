@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gazecast.cli import FEATURE_CSV_HEADER, read_feature_csv
 from gazecast.errors import SchemaError, ValidationError
 from gazecast.ingest import (
     AnnotationTrack,
@@ -246,6 +247,22 @@ class TestSynthesize:
         with pytest.raises(SchemaError):
             SynthesisSpec.from_json("{\"rate_hz\": 1.0}")
 
+    @pytest.mark.parametrize("fields, error", [
+        ('"duration_s": "abc", "rate_hz": 30', SchemaError),
+        ('"duration_s": 1, "rate_hz": 30, "blinks_ms": [[1, 2, 3]]', SchemaError),
+        ('"duration_s": 1, "rate_hz": 30, "blinks_ms": [["a", 1]]', SchemaError),
+        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "constant", "level": "x"}]', SchemaError),
+        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "noise", "noise_std": -1}]', ValidationError),
+        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "noise", "noise_std": NaN}]', ValidationError),
+        ('"duration_s": NaN, "rate_hz": 30', ValidationError),
+        ('"duration_s": 1, "rate_hz": NaN', ValidationError),
+        ('"duration_s": 1e300, "rate_hz": 1e300', ValidationError),  # the sample count overflows
+    ], ids=["duration_text", "blink_triple", "blink_text", "level_text", "negative_noise", "nan_noise",
+            "nan_duration", "nan_rate", "infinite_product"])
+    def test_bad_spec_is_refused_when_read(self, fields, error):
+        with pytest.raises(error):
+            SynthesisSpec.from_json("{" + fields + "}")
+
 
 class TestSequenceInvariants:
     def test_needs_two_samples(self):
@@ -268,3 +285,82 @@ class TestSequenceInvariants:
     def test_duration_counts_one_trailing_frame(self, n, rate):
         seq = make_sequence(n=n, rate_hz=rate)
         assert seq.duration_ms == pytest.approx(n * 1000.0 / rate, rel=1e-9)
+
+
+def _columns(lines: list[str]) -> np.ndarray:
+    return np.array([[float(c) for c in line.split(",")] for line in lines])
+
+
+def _gaze_record(lines: list[str]) -> GazeSequence:
+    a = _columns(lines)
+    return GazeSequence(frame_index=a[:, 0], timestamp_ms=a[:, 1], gaze_x=a[:, 2], gaze_y=a[:, 3],
+                        screen_distance_mm=a[:, 4], eye_closed=a[:, 5])
+
+
+def _annotation_record(lines: list[str]) -> AnnotationTrack:
+    a = _columns(lines)
+    return AnnotationTrack(a[:, 0], a[:, 1], "valence")
+
+
+APERTURE_HEADER = "frame,timestamp_ms,gaze_x,gaze_y,screen_distance_mm,eyelid_aperture"
+GOOD_GAZE = [f"{i},{100 * i},0,0,600,0" for i in range(6)]
+GOOD_ANNOTATION = [f"{1000 * i},0.1" for i in range(6)]
+
+
+def _replace(lines: list[str], row: int, line: str) -> list[str]:
+    return lines[: row - 1] + [line] + lines[row:]
+
+
+class TestValueRules:
+    """Each value rule lives once, in the record type, and names the first bad data row."""
+
+    @pytest.mark.parametrize("header, lines, row, message", [
+        (GAZE_HEADER, _replace(GOOD_GAZE, 3, "2,nan,0,0,600,0"), 3, "timestamp_ms must be finite"),
+        (GAZE_HEADER, _replace(GOOD_GAZE, 4, "3,200,0,0,600,0"), 4, "timestamp_ms not strictly increasing"),
+        (GAZE_HEADER, _replace(GOOD_GAZE, 2, "-1,100,0,0,600,0"), 2, "frame must be >= 0"),
+        (GAZE_HEADER, _replace(GOOD_GAZE, 5, "4,400,0,0,0,0"), 5, "screen_distance_mm must be > 0"),
+        (GAZE_HEADER, _replace(GOOD_GAZE, 6, "5,500,0,0,-3,0"), 6, "screen_distance_mm must be > 0"),
+        (APERTURE_HEADER, _replace(GOOD_GAZE, 3, "2,200,0,0,600,-0.1"), 3, "eyelid_aperture must be >= 0"),
+        (None, _replace(GOOD_ANNOTATION, 2, "nan,0.5"), 2, "annotation timestamp must be finite"),
+        (None, _replace(GOOD_ANNOTATION, 3, "1000,0.5"), 3, "annotation timestamps not strictly increasing"),
+        (None, _replace(GOOD_ANNOTATION, 2, "1000,1.5"), 2, r"annotation value outside \[-1, 1\]"),
+        (None, _replace(GOOD_ANNOTATION, 4, "3000,nan"), 4, r"annotation value outside \[-1, 1\]"),
+    ], ids=["gaze_nan_timestamp", "gaze_repeated_timestamp", "gaze_negative_frame", "gaze_zero_distance",
+            "gaze_negative_distance", "gaze_negative_aperture", "annotation_nan_timestamp",
+            "annotation_repeated_timestamp", "annotation_value_above_1", "annotation_nan_value"])
+    def test_parser_and_record_name_the_same_row(self, header, lines, row, message):
+        expected = f"^data row {row}: {message}"
+        with pytest.raises(ValidationError, match=expected) as from_text:
+            if header is None:
+                parse_annotation_csv(io.StringIO("\n".join(lines)), "valence")
+            else:
+                parse_gaze_csv(gaze_csv(lines, header=header))
+        if header != APERTURE_HEADER:  # the record keeps only the closed flag, not the aperture
+            with pytest.raises(ValidationError, match=expected) as from_record:
+                (_annotation_record if header is None else _gaze_record)(lines)
+            assert str(from_record.value) == str(from_text.value)
+
+    def test_schema_faults_are_reported_before_value_faults(self):
+        gaze = _replace(_replace(GOOD_GAZE, 3, "2,100,0,0,600,0"), 6, "5,oops,0,0,600,0")
+        with pytest.raises(SchemaError, match="data row 6: unparseable value 'oops'"):
+            parse_gaze_csv(gaze_csv(gaze))
+        annotation = _replace(_replace(GOOD_ANNOTATION, 2, "1000,1.5"), 5, "4000,oops")
+        with pytest.raises(SchemaError, match="data row 5: unparseable value 'oops'"):
+            parse_annotation_csv(io.StringIO("\n".join(annotation)), "valence")
+
+    def test_blank_records_are_not_counted(self, tmp_path):
+        text = "\n" + GAZE_HEADER + "\n0,0,0,0,600,0\n\n1,0,0,0,600,0\n"
+        with pytest.raises(ValidationError, match="^data row 2: timestamp_ms not strictly increasing"):
+            parse_gaze_csv(io.StringIO(text))
+        text = "\ntimestamp_ms,value\n\n0,0.1\n\n\n1000,0.2\n1000,0.3\n"
+        with pytest.raises(ValidationError, match="^data row 3: annotation timestamps not strictly increasing"):
+            parse_annotation_csv(io.StringIO(text), "valence")
+        features = tmp_path / "features.csv"
+        features.write_text("\n" + ",".join(FEATURE_CSV_HEADER) + "\n" + ",".join(["0"] * 33) + "\n\n"
+                            + ",".join(["x"] * 33) + "\n")
+        with pytest.raises(SchemaError, match="data row 2: unparseable"):
+            read_feature_csv(features)
+
+    def test_empty_track_has_no_data_rows(self):
+        with pytest.raises(SchemaError, match="no data rows"):
+            AnnotationTrack(np.array([]), np.array([]), "valence")

@@ -1,9 +1,13 @@
-"""Any text fed to a parser ends in a result or a GazecastError, never in another exception."""
+"""Any text fed to a parser ends in a result or a GazecastError, never in another exception.
+
+A gaze or annotation record that a parser returns has finite, strictly increasing timestamps.
+"""
 
 import io
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,8 @@ PARSERS = {
     "features": _read_feature_text,
     "model": model_from_text,
 }
+# The timestamp column of the record each parser returns, where it has one.
+TIMESTAMPS = {"gaze": "timestamp_ms", "annotation": "timestamps_ms"}
 # A valid first line for each format, so that generated bodies reach the row-level code.
 HEADERS = {
     "gaze": "frame,timestamp_ms,gaze_x,gaze_y,screen_distance_mm,eye_closed\n",
@@ -47,9 +53,13 @@ BODY = st.text() | st.lists(LINE, max_size=12).map("\n".join)
 @given(body=BODY, with_header=st.booleans())
 @example(body="7" * 200_000, with_header=False)  # a field over the csv module's size limit
 @example(body="0,0.5\r2000,1", with_header=True)  # a bare carriage return inside an unquoted field
+@example(body="0,0.1\nnan,0.5\n5000,0.2", with_header=False)  # a NaN timestamp between increasing ones
 @settings(max_examples=150, deadline=None)
 def test_parsers_raise_only_gazecast_errors(kind, body, with_header):
     try:
-        PARSERS[kind]((HEADERS[kind] if with_header else "") + body)
+        record = PARSERS[kind]((HEADERS[kind] if with_header else "") + body)
     except GazecastError:
-        pass
+        return
+    if kind in TIMESTAMPS:
+        ts = getattr(record, TIMESTAMPS[kind])
+        assert np.all(np.isfinite(ts)) and np.all(np.diff(ts) > 0)
