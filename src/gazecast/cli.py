@@ -39,7 +39,7 @@ from .regression import (
     SvrConfig,
     TrainingSet,
     filter_zero_targets,
-    load_model,
+    model_from_text,
     model_to_text,
     predict_matrix,
     svr_fit,
@@ -60,14 +60,25 @@ def _write_text_atomic(path: str | Path, text: str) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as e:  # name the file the user gave, not the temp file
+        raise OSError(e.errno, e.strerror, str(path)) from None
+
+
+def _read_text(path: str | Path) -> str:
+    """The UTF-8 text of *path*; undecodable bytes are a SchemaError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: {e}") from None
 
 
 def feature_csv_text(spans: np.ndarray, matrix: np.ndarray) -> str:
@@ -243,7 +254,7 @@ def _load_training_set(args, dimension: str) -> tuple[TrainingSet, int]:
 
 
 def cmd_synth(args) -> int:
-    spec = SynthesisSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+    spec = SynthesisSpec.from_json(_read_text(args.spec))
     seq = synthesize_sequence(spec, args.seed)
     buf = io.StringIO()
     write_gaze_csv(seq, buf)
@@ -284,7 +295,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model = load_model(args.model)
+    model = model_from_text(_read_text(args.model))
     spans, x = read_feature_csv(args.features)
     pred = predict_matrix(model, x)
     _write_text_atomic(args.out, predictions_csv_text(spans, pred))
@@ -292,7 +303,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = load_model(args.model)
+    model = model_from_text(_read_text(args.model))
     dimension = args.dimension or model.dimension
     if dimension not in DIMENSIONS:
         raise ValidationError("model has no dimension; pass --dimension")
@@ -351,7 +362,7 @@ def _is_manifest_entry(entry) -> bool:
 def cmd_pipeline(args) -> int:
     manifest_path = Path(args.manifest)
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest = json.loads(_read_text(manifest_path))
     except json.JSONDecodeError as e:
         raise SchemaError(f"bad manifest {args.manifest}: {e}") from None
     for key in ("train", "test"):

@@ -6,17 +6,26 @@ forward greedy wrapper that scores candidate subsets by k-fold
 cross-validated Pearson CC of the SVR itself. Cross-validation folds where
 the learner degenerates to constant predictions score the worst value (-1)
 rather than erroring, and are counted in the reports.
+
+One routine cross-validates: it takes a list of column subsets (all the
+candidates of a wrapper step, or the one matrix of a C-grid point) and
+shared folds, and runs the solver of every subset x fold fit through the
+lock-step pool of :func:`regression._smo_lockstep`. The fits are then
+finished through fit_linear_svr and scored in (subset, fold) order, so the
+scores, the degenerate-fold counts and the first ConvergenceError are
+bit for bit those of fitting one subset and fold after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .features import FEATURE_NAMES
-from .regression import SvrConfig, TrainingSet, fit_linear_svr, predict_matrix
+from .regression import SmoState, SvrConfig, TrainingSet, _smo_lockstep, fit_linear_svr, predict_matrix
 
 WORST_CC = -1.0
 
@@ -57,24 +66,58 @@ def cross_val_cc(
 ) -> tuple[float, list[float], int]:
     """Mean per-fold Pearson CC; degenerate folds score WORST_CC and are counted."""
     folds = kfold_split(len(y), k, seed)
-    return _cross_val_cc_folds(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64), config, folds)
+    return _cross_val_cc_folds([np.asarray(x, dtype=np.float64)], np.asarray(y, dtype=np.float64), config, folds)[0]
 
 
-def _cross_val_cc_folds(x, y, config, folds) -> tuple[float, list[float], int]:
-    n = len(y)
-    scores: list[float] = []
-    degenerate = 0
+def _cross_val_cc_folds(xs, y, config, folds) -> list[tuple[float, list[float], int]]:
+    """(mean CC, per-fold CCs, degenerate folds) of each feature matrix in *xs* over the shared *folds*.
+
+    The solver runs of all len(xs) * len(folds) fits go through
+    :func:`regression._smo_lockstep`, one pool per training-row count. Each
+    fit is then finished by fit_linear_svr in (matrix, fold) order, so the
+    models, the scores and the first error raised are those of a loop over
+    matrices and folds.
+    """
+    n, k = len(y), len(folds)
+    masks = []
     for fold in folds:
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        model = fit_linear_svr(x[mask], y[mask], config)
-        pred = predict_matrix(model, x[fold])
-        try:
-            scores.append(pearson_cc(pred, y[fold]))
-        except DegenerateDataError:
-            scores.append(WORST_CC)
-            degenerate += 1
-    return float(np.mean(scores)), scores, degenerate
+        masks.append(mask)
+
+    def train(i: int) -> tuple[np.ndarray, np.ndarray]:
+        mask = masks[i % k]
+        return xs[i // k][mask], y[mask]
+
+    by_rows: dict[int, list[int]] = {}
+    for i in range(len(xs) * k):
+        by_rows.setdefault(int(np.count_nonzero(masks[i % k])), []).append(i)
+    # Fits are finished in order, so the states of a pool that runs ahead of
+    # the next fit due are held until then: run the smaller pools first.
+    stopped = (
+        (group[j], state)
+        for rows, group in sorted(by_rows.items(), key=lambda item: len(item[1]))
+        for j, state in _smo_lockstep([partial(train, i) for i in group], rows, config)
+    )
+    states: dict[int, SmoState | None] = {}
+    results = []
+    for c, x in enumerate(xs):
+        scores: list[float] = []
+        degenerate = 0
+        for f, fold in enumerate(folds):
+            i = c * k + f
+            while i not in states:
+                j, state = next(stopped)
+                states[j] = state
+            model = fit_linear_svr(*train(i), config, start=states.pop(i))
+            pred = predict_matrix(model, x[fold])
+            try:
+                scores.append(pearson_cc(pred, y[fold]))
+            except DegenerateDataError:
+                scores.append(WORST_CC)
+                degenerate += 1
+        results.append((float(np.mean(scores)), scores, degenerate))
+    return results
 
 
 def grid_search_c(
@@ -181,11 +224,9 @@ def wrapper_greedy_stepwise(
         if max_steps is not None and len(steps) >= max_steps:
             break
         best_j, best_score, best_degenerate = -1, -np.inf, 0
-        for j in range(x.shape[1]):
-            if j in selected:
-                continue
-            cols = selected + [j]
-            score, _, degenerate = _cross_val_cc_folds(x[:, cols], y, svr_config, folds)
+        candidates = [j for j in range(x.shape[1]) if j not in selected]
+        scored = _cross_val_cc_folds([x[:, selected + [j]] for j in candidates], y, svr_config, folds)
+        for j, (score, _, degenerate) in zip(candidates, scored):
             if score > best_score:
                 best_j, best_score, best_degenerate = j, score, degenerate
         if best_j < 0 or best_score <= current + min_improvement:

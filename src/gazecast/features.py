@@ -189,9 +189,13 @@ def _skewness_rows(x: np.ndarray) -> np.ndarray:
     """m3 / m2**1.5 per row of non-constant rows, after an exact power-of-two rescale.
 
     The rescale puts each row's max|x| in [0.5, 1), so m2**1.5 cannot underflow.
+    The deviations are centred twice (the corrected two-pass form of Chan,
+    Golub & LeVeque, 1983): the rounding of the first mean would otherwise
+    give [-1e6, -999999.9999999999] a skewness of 1.414 instead of 0.
     """
     x = np.ldexp(x, -np.frexp(np.max(np.abs(x), axis=1))[1][:, None])
     d = x - np.mean(x, axis=1)[:, None]
+    d -= np.mean(d, axis=1)[:, None]
     m2 = np.mean(d * d, axis=1)
     m3 = np.mean(d * d * d, axis=1)
     out = np.zeros(len(x))

@@ -335,6 +335,9 @@ class ChannelSpec:
     def __post_init__(self):
         if self.kind not in CHANNEL_KINDS:
             raise ValidationError(f"channel kind must be one of {CHANNEL_KINDS}, got {self.kind!r}")
+        for name in ("level", "slope", "frequency_hz", "amplitude", "phase_rad"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if not (self.noise_std >= 0):
             raise ValidationError("noise_std must be >= 0")
 
@@ -359,6 +362,8 @@ class SynthesisSpec:
         # Written as not (v > 0) so that NaN fails too; a finite product bounds the sample count.
         if not (self.duration_s > 0 and self.rate_hz > 0 and math.isfinite(self.duration_s * self.rate_hz)):
             raise ValidationError("duration_s and rate_hz must be positive with a finite product")
+        if not all(math.isfinite(t) for blink in self.blinks_ms for t in blink):
+            raise ValidationError("blink bounds must be finite")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthesisSpec":

@@ -9,12 +9,27 @@ two-slot direction. Features and target are z-scored internally (sample std,
 zero-variance columns get a sentinel std of 1), so the complexity parameter C
 and the tube half-width epsilon both live in standardized space; returned
 weights and bias are collapsed back to original units.
+
+The solver can be resumed. Its state is (alpha_up, alpha_down, u =
+K @ (alpha_up - alpha_down), updates), a fresh fit starts from the zero
+state, and ``fit_linear_svr(..., start=state)`` finishes a fit from any state
+the loop stood in. :func:`_smo_lockstep` runs many fits of one row count in
+lock step: a pool of slots, as many as a budget of _LOCKSTEP_GRAM_BYTES for
+their stacked Gram matrices allows (28 at 135 rows), holds the running fits
+as rows of 2-d arrays, and a slot whose fit stops takes the next one. Each
+stopped fit, and each of the last few, is handed to that resume. A
+lock-step update repeats the scalar loop's operations in its order and with
+its ties, so multipliers, bias, update count and KKT gap are bit-identical to
+those of the fit run alone. Fits too large for more than a few slots (about
+540 rows and up) never enter a pool.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import mmap
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +41,21 @@ from .ingest import DIMENSIONS
 logger = logging.getLogger(__name__)
 
 MODEL_MAGIC = "GAZESVR1"
+
+# Where an SMO run stands: (alpha_up, alpha_down, u = K @ (alpha_up - alpha_down), updates).
+SmoState = tuple[np.ndarray, np.ndarray, np.ndarray, int]
+
+# u is recomputed from the multipliers every this many updates, shedding drift.
+_REFRESH_EVERY = 4096
+# Bytes the lock-step pool's stacked Gram matrices may take: 28 slots at 135
+# training rows, one at 540. Size it by the Gram alone; the pool's other
+# arrays are O(slots * rows).
+_LOCKSTEP_GRAM_BYTES = 4 << 20
+# The lock-step pool hands its last fits to the scalar loop once no more than
+# this many are left: a lock-step iteration over a few rows costs about as
+# much as that many scalar updates. A pool of no more slots than this is
+# never built.
+_SCALAR_TAIL = 3
 
 
 @dataclass(frozen=True)
@@ -173,18 +203,22 @@ def _standardize_target(y: np.ndarray) -> tuple[float, float, np.ndarray]:
 
 
 def _smo_solve(
-    k_mat: np.ndarray, y: np.ndarray, c: float, eps: float, tol: float, max_iter: int
+    k_mat: np.ndarray, y: np.ndarray, c: float, eps: float, tol: float, max_iter: int,
+    start: SmoState | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, int, bool, float]:
-    """Maximal-violating-pair SMO on the epsilon-SVR dual.
+    """Maximal-violating-pair SMO on the epsilon-SVR dual, from *start* (default: the zero state).
 
     Returns (alpha_up, alpha_down, bias, iterations, converged, final_gap)
-    where the gap is the worst KKT bound mismatch b_lo - b_hi.
+    where the gap is the worst KKT bound mismatch b_lo - b_hi. Resuming a
+    state that an earlier run of this loop (or of :func:`_smo_lockstep`)
+    stopped in gives the iterates that run would have gone on to.
     """
     n = len(y)
-    a_up = np.zeros(n)
-    a_dn = np.zeros(n)
-    u = np.zeros(n)  # K @ (a_up - a_dn)
-    it = 0
+    if start is None:
+        a_up, a_dn, u, it = np.zeros(n), np.zeros(n), np.zeros(n), 0  # u = K @ (a_up - a_dn)
+    else:
+        a_up, a_dn, u = (np.array(v, dtype=np.float64) for v in start[:3])
+        it = int(start[3])
     neg_inf = -np.inf
     while True:
         r = y - u
@@ -231,8 +265,146 @@ def _smo_solve(
         if k != m:
             u += lam * (k_mat[:, k] - k_mat[:, m])
         it += 1
-        if it % 4096 == 0:
+        if it % _REFRESH_EVERY == 0:
             u = k_mat @ (a_up - a_dn)  # shed accumulated rounding
+
+
+def _smo_lockstep(
+    problems: Sequence[Callable[[], tuple[np.ndarray, np.ndarray]]],
+    n_rows: int,
+    config: SvrConfig,
+    gram_bytes: int = _LOCKSTEP_GRAM_BYTES,
+) -> Iterator[tuple[int, SmoState | None]]:
+    """Run the SMO of many fits of *n_rows* rows in lock step; yield (index, state) as each stops.
+
+    problems[i]() gives the raw (x, y) of fit i. A fixed pool of slots, as
+    many as *gram_bytes* of stacked Gram matrices allow, holds the running
+    fits as rows of (slots, n) arrays; a fit is standardized and its Gram
+    built when it enters a slot, and a slot whose fit stops (converged, or
+    max_passes reached) takes the next pending fit. Every lock-step update
+    repeats the scalar loop's operations in its order and with its ties (up
+    slot before down slot, lowest index first), so a yielded state is exactly
+    where :func:`_smo_solve` would stand: ``fit_linear_svr(x, y, config,
+    start=state)`` finishes the fit bit-identically to a fresh one.
+
+    Once no more than _SCALAR_TAIL fits are left, the running ones are
+    yielded mid-run and the pending ones with state None (start from zero),
+    so long fits finish in the scalar loop instead of holding a thin batch.
+    A fit with non-finite or misshapen data, and every fit when the pool
+    would have no more than _SCALAR_TAIL slots, is yielded with None too, for
+    fit_linear_svr to run or refuse. Each index is yielded once, in no set
+    order.
+    """
+    count, n = len(problems), n_rows
+    slots = min(count, gram_bytes // (8 * n * n)) if n >= 2 else 0
+    if slots <= _SCALAR_TAIL:
+        yield from ((i, None) for i in range(count))
+        return
+    c, eps, tol, max_iter = config.complexity_c, config.epsilon, config.tolerance, config.max_passes
+    # gram[slot[r]] holds the transposed Gram of the fit in row r, so that the
+    # Gram column an update needs is a contiguous row. Rows [0, live) run.
+    # alpha holds [alpha_up | alpha_down]: one argmax over a row then prefers
+    # the up slot on ties, as the scalar loop does. The Gram stack gets its own
+    # anonymous mapping, whose pages go back to the system when the pool ends:
+    # from the heap, a block this size stays resident, and once smaller
+    # allocations split it the next pool's stack grows the process again.
+    gram = np.frombuffer(mmap.mmap(-1, 8 * slots * n * n), dtype=np.float64).reshape(slots, n, n)
+    slot = np.arange(slots)
+    diag = np.empty((slots, n))
+    owner = np.zeros(slots, dtype=np.int64)
+    y_std = np.empty((slots, n))
+    alpha = np.empty((slots, 2 * n))
+    u = np.empty((slots, n))
+    iters = np.zeros(slots, dtype=np.int64)
+    cursor = live = 0
+
+    def fill(row: int):
+        """Start the next pending fit in *row*; returns False when none is left."""
+        nonlocal cursor
+        while cursor < count:
+            i, cursor = cursor, cursor + 1
+            x, y = (np.asarray(t, dtype=np.float64) for t in problems[i]())
+            if not (x.ndim == 2 and len(x) == n and y.shape == (n,)
+                    and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                yield i, None
+                continue
+            z = standardize_columns(x)[2]
+            k_mat = z @ z.T
+            gram[slot[row]] = k_mat.T
+            diag[row] = np.diagonal(k_mat)
+            y_std[row] = _standardize_target(y)[2]
+            alpha[row] = 0.0
+            u[row] = 0.0
+            iters[row] = 0
+            owner[row] = i
+            return True
+        return False
+
+    def state(row: int) -> SmoState:
+        return alpha[row, :n].copy(), alpha[row, n:].copy(), u[row].copy(), int(iters[row])
+
+    while live < slots and (yield from fill(live)):
+        live += 1
+    rows = np.arange(slots)
+    lo_ok = np.empty((slots, 2 * n), dtype=bool)
+    hi_ok = np.empty((slots, 2 * n), dtype=bool)
+    v = np.empty((slots, 2 * n))
+    while live + (count - cursor) > _SCALAR_TAIL:
+        p, r = live, rows[:live]
+        a, s = alpha[:p], slot[:p]
+        # b must satisfy: b >= v_up where a_up < C, b >= v_dn where a_dn > 0,
+        #                 b <= v_up where a_up > 0, b <= v_dn where a_dn < C.
+        res = y_std[:p] - u[:p]
+        np.subtract(res, eps, out=v[:p, :n])
+        np.add(res, eps, out=v[:p, n:])
+        np.less(a[:, :n], c, out=lo_ok[:p, :n])
+        np.greater(a[:, n:], 0.0, out=lo_ok[:p, n:])
+        np.greater(a[:, :n], 0.0, out=hi_ok[:p, :n])
+        np.less(a[:, n:], c, out=hi_ok[:p, n:])
+        lo = np.where(lo_ok[:p], v[:p], -np.inf)
+        hi = np.where(hi_ok[:p], v[:p], np.inf)
+        i = lo.argmax(axis=1)
+        j = hi.argmin(axis=1)
+        gap = lo[r, i] - hi[r, j]
+        stopped = (gap <= tol) | (iters[:p] >= max_iter)
+        if stopped.any():
+            # Highest row first, so the row moved down from the end is never a
+            # stopped one not yet handed out.
+            for row in np.flatnonzero(stopped)[::-1]:
+                yield int(owner[row]), state(row)
+                if not (yield from fill(row)):
+                    live -= 1
+                    for arr in (diag, owner, y_std, alpha, u, iters):
+                        arr[row] = arr[live]
+                    slot[row], slot[live] = slot[live], slot[row]
+            continue
+
+        i_up, j_up = i < n, j < n
+        k, m = i % n, j % n
+        eta = diag[r, k] + diag[r, m] - 2.0 * gram[s, m, k]
+        a_i, a_j = a[r, i], a[r, j]
+        cap_i = np.where(i_up, c - a_i, a_i)
+        cap_j = np.where(j_up, a_j, c - a_j)
+        step = np.full(p, np.inf)
+        np.divide(gap, eta, out=step, where=eta > 1e-12)
+        lam = np.minimum(np.minimum(step, cap_i), cap_j)
+        # i and j never name the same slot of a running fit: that would make
+        # its gap 0, and the tolerance is > 0.
+        a[r, i] = np.where(lam >= cap_i, np.where(i_up, c, 0.0), np.where(i_up, a_i + lam, a_i - lam))
+        a[r, j] = np.where(lam >= cap_j, np.where(j_up, 0.0, c), np.where(j_up, a_j - lam, a_j + lam))
+        moved = k != m
+        if moved.all():
+            u[:p] += lam[:, None] * (gram[s, k] - gram[s, m])
+        else:
+            s, k, m = s[moved], k[moved], m[moved]
+            u[r[moved]] += lam[moved, None] * (gram[s, k] - gram[s, m])
+        iters[:p] += 1
+        for row in np.flatnonzero(iters[:p] % _REFRESH_EVERY == 0):
+            # Shed accumulated rounding, with the scalar loop's product on the untransposed Gram.
+            u[row] = np.ascontiguousarray(gram[slot[row]].T) @ (alpha[row, :n] - alpha[row, n:])
+    for row in range(live):
+        yield int(owner[row]), state(row)
+    yield from ((i, None) for i in range(cursor, count))
 
 
 def _absorb_sum_drift(a_up: np.ndarray, a_dn: np.ndarray, c: float) -> None:
@@ -264,9 +436,12 @@ def fit_linear_svr(
     *,
     names: tuple[str, ...] | None = None,
     dimension: str = "arousal",
+    start: SmoState | None = None,
 ) -> SvrModel:
     """Fit a linear epsilon-SVR on raw arrays; deterministic for fixed inputs.
 
+    *start* resumes the solver from a state that :func:`_smo_lockstep` gave
+    for the same x, y and config; the model is the one a fresh fit gives.
     Raises ConvergenceError (carrying the partial model) if max_passes is hit
     before the KKT gap drops to tolerance.
     """
@@ -284,7 +459,7 @@ def fit_linear_svr(
 
     k_mat = z @ z.T
     a_up, a_dn, b_std, iters, converged, gap = _smo_solve(
-        k_mat, y_std, config.complexity_c, config.epsilon, config.tolerance, config.max_passes
+        k_mat, y_std, config.complexity_c, config.epsilon, config.tolerance, config.max_passes, start
     )
     _absorb_sum_drift(a_up, a_dn, config.complexity_c)
     beta = a_up - a_dn

@@ -213,6 +213,23 @@ class TestFileFaults:
         assert run(*argv.split()) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, content", [
+        ("extract --gaze {golden} --out {path}", None),
+        ("pipeline --manifest {path}", b'{"train": \xff}'),
+        ("synth --spec {path} --out {tmp}/g.csv", b'{"duration_s": \xff}'),
+        ("predict --model {path} --features {golden_features} --out {tmp}/p.csv", b"GAZESVR1\n\xff\n"),
+    ], ids=["missing_output_directory", "byte_ff_in_manifest", "byte_ff_in_spec", "byte_ff_in_model"])
+    def test_message_names_the_users_path(self, tmp_path, capsys, argv, content):
+        path = tmp_path / ("missing/f.csv" if content is None else "input")
+        if content is not None:
+            path.write_bytes(content)
+        argv = argv.format(tmp=tmp_path, path=path, golden=FIXTURES / "golden_gaze.csv",
+                           golden_features=FIXTURES / "golden_features.csv")
+        assert run(*argv.split()) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert ".tmp" not in err
+
 
 class TestTrain:
     def test_zero_target_rows_filtered_and_logged(self, tmp_path, caplog):

@@ -58,6 +58,7 @@ def _skew(x) -> float:
         return 0.0
     x = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
     d = x - float(np.mean(x))
+    d = d - float(np.mean(d))
     m2 = float(np.mean(d * d))
     return 0.0 if m2 == 0.0 else float(np.mean(d * d * d)) / m2**1.5
 
