@@ -20,14 +20,11 @@ from .evaluation import (
 )
 from .features import (
     FeatureConfig,
-    FeatureVector,
     approach_stats,
     band_psd,
     descriptive_stats,
-    extract,
     extract_matrix,
     eye_closure_stats,
-    feature_names,
     fixation_zone_stats,
     scan_path_stats,
 )
@@ -50,11 +47,7 @@ from .regression import (
     TrainingSet,
     filter_zero_targets,
     fit_linear_svr,
-    kkt_violations,
-    load_model,
-    save_model,
-    svr_fit,
 )
-from .windowing import Window, segment
+from .windowing import segment
 
 __version__ = "0.1.0"

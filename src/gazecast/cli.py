@@ -10,6 +10,7 @@ Set GAZECAST_LOG=INFO (or DEBUG) for progress logs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import logging
@@ -39,10 +40,10 @@ from .regression import (
     SvrConfig,
     TrainingSet,
     filter_zero_targets,
+    fit_linear_svr,
     model_from_text,
     model_to_text,
     predict_matrix,
-    svr_fit,
 )
 
 logger = logging.getLogger("gazecast")
@@ -209,8 +210,17 @@ def _parse_grid(text: str) -> list[float]:
 # --- ingestion helpers -------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _naming(path: str | Path):
+    """Prefix *path* to a GazecastError raised inside, keeping its class and so its exit code."""
+    try:
+        yield
+    except GazecastError as e:
+        raise type(e)(f"{path}: {e}") from None
+
+
 def _load_sequence(path: str | Path, args):
-    with open(path, "r", encoding="utf-8", newline="") as f:
+    with open(path, "r", encoding="utf-8", newline="") as f, _naming(path):
         seq = parse_gaze_csv(f, closure_threshold=args.closure_threshold, source_id=str(path))
     report = validate_sequence(seq, hop_s=args.hop_sec)
     if not report.usable or report.nan_count:
@@ -221,14 +231,12 @@ def _load_sequence(path: str | Path, args):
 def _extract_spans(path: str | Path, args, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Load, segment and extract one gaze CSV: (spans (k, 2), features (k, 31))."""
     windows = windowing.segment(_load_sequence(path, args), args.window_sec, args.hop_sec)
-    spans = np.array([[w.start_ms, w.end_ms] for w in windows])
-    return spans, extract_matrix(windows, config)
+    return windows.spans, extract_matrix(windows, config)
 
 
 def _targets_for(spans: np.ndarray, annotations: str | Path, dimension: str) -> np.ndarray:
-    with open(annotations, "r", encoding="utf-8", newline="") as f:
-        track = parse_annotation_csv(f, dimension)
-    return windowing.targets_for_spans(spans, track)
+    with open(annotations, "r", encoding="utf-8", newline="") as f, _naming(annotations):
+        return windowing.targets_for_spans(spans, parse_annotation_csv(f, dimension))
 
 
 def _read_features_and_targets(args, dimension: str) -> tuple[np.ndarray, np.ndarray]:
@@ -281,7 +289,7 @@ def _train_model(args, data: TrainingSet, dimension: str):
             logger.info("grid C=%g -> cv_cc=%.5f", c, score)
         logger.info("grid selected C=%g", best_c)
         config = replace(config, complexity_c=best_c)
-    return svr_fit(data, config)
+    return fit_linear_svr(data.features, data.targets, config, names=FEATURE_NAMES, dimension=data.dimension)
 
 
 def cmd_train(args) -> int:
@@ -348,6 +356,8 @@ def _pipeline_rows(entries, base_dir: Path, args, dimension: str) -> tuple[np.nd
     for entry in entries:
         gaze_path, ann_path = base_dir / entry["gaze"], base_dir / entry["annotations"]
         spans, matrix = _extract_spans(gaze_path, args, config)
+        if not len(spans):
+            raise ValidationError(f"{gaze_path}: recording is shorter than one {args.window_sec:g} s window")
         xs.append(matrix)
         targets.append(_targets_for(spans, ann_path, dimension))
         all_spans.append(spans)

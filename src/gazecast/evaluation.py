@@ -7,13 +7,14 @@ cross-validated Pearson CC of the SVR itself. Cross-validation folds where
 the learner degenerates to constant predictions score the worst value (-1)
 rather than erroring, and are counted in the reports.
 
-One routine cross-validates: it takes a list of column subsets (all the
-candidates of a wrapper step, or the one matrix of a C-grid point) and
-shared folds, and runs the solver of every subset x fold fit through the
-lock-step pool of :func:`regression._smo_lockstep`. The fits are then
-finished through fit_linear_svr and scored in (subset, fold) order, so the
-scores, the degenerate-fold counts and the first ConvergenceError are
-bit for bit those of fitting one subset and fold after another.
+One routine, :func:`cross_val_cc`, cross-validates: it takes a list of
+column subsets (all the candidates of a wrapper step, or the one matrix of a
+C-grid point) and folds drawn once by :func:`kfold_split`, and runs the
+solver of every subset x fold fit through the lock-step pool of
+:func:`regression._smo_lockstep`. The fits are then finished through
+fit_linear_svr and scored in (subset, fold) order, so the scores, the
+degenerate-fold counts and the first ConvergenceError are bit for bit those
+of fitting one subset and fold after another.
 """
 
 from __future__ import annotations
@@ -62,15 +63,12 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 
 def cross_val_cc(
-    x: np.ndarray, y: np.ndarray, config: SvrConfig, k: int, seed: int
-) -> tuple[float, list[float], int]:
-    """Mean per-fold Pearson CC; degenerate folds score WORST_CC and are counted."""
-    folds = kfold_split(len(y), k, seed)
-    return _cross_val_cc_folds([np.asarray(x, dtype=np.float64)], np.asarray(y, dtype=np.float64), config, folds)[0]
-
-
-def _cross_val_cc_folds(xs, y, config, folds) -> list[tuple[float, list[float], int]]:
+    xs: list[np.ndarray], y: np.ndarray, config: SvrConfig, folds: list[np.ndarray]
+) -> list[tuple[float, list[float], int]]:
     """(mean CC, per-fold CCs, degenerate folds) of each feature matrix in *xs* over the shared *folds*.
+
+    A fold scores its held-out Pearson CC, or WORST_CC (and is counted as
+    degenerate) where the learner's predictions or the targets are constant.
 
     The solver runs of all len(xs) * len(folds) fits go through
     :func:`regression._smo_lockstep`, one pool per training-row count. Each
@@ -130,10 +128,11 @@ def grid_search_c(
     cs = list(cs)
     if not cs:
         raise ValidationError("empty complexity grid")
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    folds = kfold_split(len(y), k, seed)
     results = []
     for c in cs:
-        cfg = replace(base_config, complexity_c=float(c))
-        mean_cc, _, _ = cross_val_cc(x, y, cfg, k, seed)
+        [(mean_cc, _, _)] = cross_val_cc([x], y, replace(base_config, complexity_c=float(c)), folds)
         results.append((float(c), mean_cc))
     best_score = max(score for _, score in results)
     best_c = next(c for c, score in results if score == best_score)  # earliest wins ties
@@ -225,7 +224,7 @@ def wrapper_greedy_stepwise(
             break
         best_j, best_score, best_degenerate = -1, -np.inf, 0
         candidates = [j for j in range(x.shape[1]) if j not in selected]
-        scored = _cross_val_cc_folds([x[:, selected + [j]] for j in candidates], y, svr_config, folds)
+        scored = cross_val_cc([x[:, selected + [j]] for j in candidates], y, svr_config, folds)
         for j, (score, _, degenerate) in zip(candidates, scored):
             if score > best_score:
                 best_j, best_score, best_degenerate = j, score, degenerate

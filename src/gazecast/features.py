@@ -28,10 +28,11 @@ Numeric conventions, applied everywhere a statistic is formed:
 * every degenerate case (no episodes, single path, empty zone, ...)
   yields 0.0 -- never NaN -- so downstream learners stay total.
 
-Extraction is batched. :func:`extract_matrix` groups windows by (sequence,
-sample count) and runs each group in fixed chunks of (W, n) arrays through
-one call per feature family; :func:`extract` is a batch of one, and so is a
-1-d call to a family function. The nominal rate is taken once per sequence.
+Extraction is batched. :func:`extract_matrix` takes the windows of one
+sequence as index arrays (a :class:`windowing.Windows` record), groups them
+by sample count and runs each group in fixed chunks of (W, n) arrays through
+one call per feature family; a 1-d call to a family function is a batch of
+one. The nominal rate is taken once per sequence.
 Sums over runs, zones and episodes are NumPy reductions over blocks of
 equal-length groups, so they follow NumPy's own reduction order for a 1-d
 array (pairwise from 8 terms on): a window's features are the same bits
@@ -47,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .windowing import Window
+from .windowing import Windows
 
 PSD_SINGLE_BINS_HZ = (0.011, 0.022)
 PSD_BAND_RANGES_HZ = ((0.033, 0.044), (0.055, 0.066), (0.077, 0.133))
@@ -72,12 +73,6 @@ FEATURE_NAMES: tuple[str, ...] = (
     "eye_close_count_skew",
 )
 N_FEATURES = len(FEATURE_NAMES)
-_NON_FINITE_FEATURES = "feature vector contains non-finite values"
-
-
-def feature_names() -> list[str]:
-    """The 31 feature names in canonical (stable) order."""
-    return list(FEATURE_NAMES)
 
 
 @dataclass(frozen=True)
@@ -112,30 +107,9 @@ class FeatureConfig:
         if not (self.psd_pad_resolution_hz > 0):
             raise ValidationError("psd_pad_resolution_hz must be > 0")
         xmin, xmax, ymin, ymax = self.zone_bounds
-        if not (xmax > xmin and ymax > ymin):
-            raise ValidationError("zone_bounds must satisfy xmax > xmin and ymax > ymin")
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """The 31 canonical features for one window; always finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64).copy()
-        if v.shape != (N_FEATURES,):
-            raise ValidationError(f"feature vector must have {N_FEATURES} values, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError(_NON_FINITE_FEATURES)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __getitem__(self, i: int) -> float:
-        return float(self.values[i])
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: float(v) for name, v in zip(FEATURE_NAMES, self.values)}
+        # A positive finite width on each axis; refuses NaN and infinite bounds too.
+        if not (0 < xmax - xmin < math.inf and 0 < ymax - ymin < math.inf):
+            raise ValidationError("zone_bounds must be finite and satisfy xmax > xmin and ymax > ymin")
 
 
 class DescriptiveStats(NamedTuple):
@@ -414,50 +388,35 @@ def _chunk_features(seq, take: np.ndarray, rate_hz: float, config: FeatureConfig
     return out
 
 
-def _nonfinite_prefix(seq) -> np.ndarray:
-    """Running count of samples with a non-finite gaze or distance value, from 0."""
-    bad = ~(np.isfinite(seq.gaze_x) & np.isfinite(seq.gaze_y) & np.isfinite(seq.screen_distance_mm))
-    return np.concatenate(([0], np.cumsum(bad)))
+def extract_matrix(windows: Windows, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """The (len(windows), 31) feature matrix, one row per window in time order.
 
-
-def extract_matrix(windows: list[Window], config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """The (n_windows, 31) feature matrix, one row per window in input order.
-
-    Every window is checked first, in input order, so the first one with
-    fewer than 2 samples or a non-finite sample is the one reported. The
-    windows are then grouped by (sequence, sample count) and each group runs
-    through the family functions in chunks of _CHUNK_WINDOWS (W, n) arrays.
+    Every window is checked first, so the earliest one with fewer than 2
+    samples or a non-finite sample is the one reported. The windows are then
+    grouped by sample count and each group runs through the family functions
+    in chunks of _CHUNK_WINDOWS (W, n) arrays, in ascending window order.
     """
-    if not windows:
+    seq, lo, hi = windows.seq, windows.lo, windows.hi
+    if len(lo) == 0:
         return np.array([])
-    prefixes: dict[int, np.ndarray] = {}
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, w in enumerate(windows):
-        if w.n_samples < 2:
-            raise ValidationError(f"window at {w.start_ms:.1f} ms has {w.n_samples} sample(s); need >= 2")
-        prefix = prefixes.get(id(w.seq))
-        if prefix is None:
-            prefix = prefixes[id(w.seq)] = _nonfinite_prefix(w.seq)
-        if prefix[w.hi] != prefix[w.lo]:
-            raise ValidationError(f"window at {w.start_ms:.1f} ms contains non-finite samples")
-        groups.setdefault((id(w.seq), w.n_samples), []).append(i)
+    n_samples = hi - lo
+    bad_sample = ~(np.isfinite(seq.gaze_x) & np.isfinite(seq.gaze_y) & np.isfinite(seq.screen_distance_mm))
+    nonfinite = np.concatenate(([0], np.cumsum(bad_sample)))  # non-finite samples before each index
+    bad = (n_samples < 2) | (nonfinite[hi] != nonfinite[lo])
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        start = windows.spans[i, 0]
+        if n_samples[i] < 2:
+            raise ValidationError(f"window at {start:.1f} ms has {n_samples[i]} sample(s); need >= 2")
+        raise ValidationError(f"window at {start:.1f} ms contains non-finite samples")
 
-    rates: dict[int, float] = {}
-    out = np.empty((len(windows), N_FEATURES))
-    for (seq_id, n), members in groups.items():
-        seq = windows[members[0]].seq
-        if seq_id not in rates:
-            rates[seq_id] = seq.nominal_rate_hz
-        members = np.array(members)
-        lo = np.array([windows[i].lo for i in members])
+    rate_hz = seq.nominal_rate_hz
+    out = np.empty((len(lo), N_FEATURES))
+    for n in np.unique(n_samples):
+        members = np.flatnonzero(n_samples == n)
         for c in range(0, len(members), _CHUNK_WINDOWS):
-            take = lo[c : c + _CHUNK_WINDOWS, None] + np.arange(n)
-            out[members[c : c + _CHUNK_WINDOWS]] = _chunk_features(seq, take, rates[seq_id], config)
+            rows = members[c : c + _CHUNK_WINDOWS]
+            out[rows] = _chunk_features(seq, lo[rows, None] + np.arange(n), rate_hz, config)
     if not np.all(np.isfinite(out)):
-        raise ValidationError(_NON_FINITE_FEATURES)
+        raise ValidationError("feature vector contains non-finite values")
     return out
-
-
-def extract(window: Window, config: FeatureConfig = FeatureConfig()) -> FeatureVector:
-    """The 31-slot canonical vector for one window: a batch of one."""
-    return FeatureVector(extract_matrix([window], config)[0])

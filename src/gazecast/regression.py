@@ -10,6 +10,10 @@ zero-variance columns get a sentinel std of 1), so the complexity parameter C
 and the tube half-width epsilon both live in standardized space; returned
 weights and bias are collapsed back to original units.
 
+:func:`fit_linear_svr` is the one fit entry point, on raw (x, y) arrays;
+:func:`model_to_text` and :func:`model_from_text` are the one model file
+writer and reader.
+
 The solver can be resumed. Its state is (alpha_up, alpha_down, u =
 K @ (alpha_up - alpha_down), updates), a fresh fit starts from the zero
 state, and ``fit_linear_svr(..., start=state)`` finishes a fit from any state
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateDataError, SchemaError, ValidationError
-from .features import FEATURE_NAMES, N_FEATURES
+from .features import N_FEATURES
 from .ingest import DIMENSIONS
 
 logger = logging.getLogger(__name__)
@@ -502,54 +506,11 @@ def fit_linear_svr(
     return model
 
 
-def svr_fit(data: TrainingSet, config: SvrConfig) -> SvrModel:
-    """Fit on a canonical 31-feature training set."""
-    return fit_linear_svr(
-        data.features, data.targets, config, names=FEATURE_NAMES, dimension=data.dimension
-    )
-
-
 def predict_matrix(model: SvrModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != len(model.weights):
         raise ValidationError(f"expected (n, {len(model.weights)}) features, got {x.shape}")
     return x @ model.weights + model.bias
-
-
-def kkt_violations(model: SvrModel, data, config: SvrConfig | None = None) -> float:
-    """Max KKT violation of a fitted model on its training data.
-
-    Requires solver diagnostics (a freshly fitted or truncated model);
-    serialized models do not retain the multipliers needed for the check.
-    """
-    if model.diagnostics is None:
-        raise ValidationError("model lacks solver diagnostics; only in-memory fits can be audited")
-    cfg = config or model.config
-    if isinstance(data, TrainingSet):
-        x, y = data.features, data.targets
-    else:
-        x, y = data
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    d = model.diagnostics
-    stds = np.where(model.feature_stds == 0.0, 1.0, model.feature_stds)
-    z = (x - model.feature_means) / stds
-    y_std = (y - model.target_mean) / model.target_std
-    r = y_std - z @ d.weights_std
-    v_up = r - cfg.epsilon
-    v_dn = r + cfg.epsilon
-    b = d.bias_std
-    c = cfg.complexity_c
-    worst = 0.0
-    if np.any(d.alpha_up < c):
-        worst = max(worst, float(np.max(v_up[d.alpha_up < c]) - b))
-    if np.any(d.alpha_up > 0):
-        worst = max(worst, float(b - np.min(v_up[d.alpha_up > 0])))
-    if np.any(d.alpha_down > 0):
-        worst = max(worst, float(np.max(v_dn[d.alpha_down > 0]) - b))
-    if np.any(d.alpha_down < c):
-        worst = max(worst, float(b - np.min(v_dn[d.alpha_down < c])))
-    return max(worst, 0.0)
 
 
 # --- model file format -------------------------------------------------------
@@ -618,12 +579,3 @@ def model_from_text(text: str) -> SvrModel:
         diagnostics=None,
     )
 
-
-def save_model(model: SvrModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(model_to_text(model))
-
-
-def load_model(path) -> SvrModel:
-    with open(path, "r", encoding="utf-8") as f:
-        return model_from_text(f.read())

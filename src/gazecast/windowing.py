@@ -1,4 +1,10 @@
-"""Fixed-length overlapping windows over a sequence, joined to affect targets."""
+"""Fixed-length overlapping windows over a sequence, joined to affect targets.
+
+:func:`segment` gives the windows of one sequence as a single record of
+index arrays (:class:`Windows`): their [start_ms, end_ms) spans and the
+sample range [lo, hi) each one covers. Features are computed from that
+record, and targets from its spans.
+"""
 
 from __future__ import annotations
 
@@ -15,38 +21,19 @@ DEFAULT_HOP_S = 2.0
 
 
 @dataclass(frozen=True)
-class Window:
-    """A [start_ms, end_ms) slice of a parent sequence (no copying)."""
+class Windows:
+    """The windows of one sequence: spans[i] = [start_ms, end_ms) holds samples lo[i]:hi[i].
+
+    Windows are in time order; a record holds no copy of the samples.
+    """
 
     seq: GazeSequence
-    start_ms: float
-    end_ms: float
-    lo: int
-    hi: int
+    spans: np.ndarray  # (k, 2) float
+    lo: np.ndarray  # (k,) int
+    hi: np.ndarray  # (k,) int
 
-    @property
-    def n_samples(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def timestamps_ms(self) -> np.ndarray:
-        return self.seq.timestamp_ms[self.lo : self.hi]
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.seq.gaze_x[self.lo : self.hi]
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.seq.gaze_y[self.lo : self.hi]
-
-    @property
-    def distances_mm(self) -> np.ndarray:
-        return self.seq.screen_distance_mm[self.lo : self.hi]
-
-    @property
-    def closed(self) -> np.ndarray:
-        return self.seq.eye_closed[self.lo : self.hi]
+    def __len__(self) -> int:
+        return len(self.lo)
 
 
 def expected_window_count(duration_ms: float, window_ms: float, hop_ms: float) -> int:
@@ -56,30 +43,27 @@ def expected_window_count(duration_ms: float, window_ms: float, hop_ms: float) -
     return int(math.floor((duration_ms - window_ms) / hop_ms + 1e-9)) + 1
 
 
-def segment(seq: GazeSequence, window_s: float = DEFAULT_WINDOW_S, hop_s: float = DEFAULT_HOP_S) -> list[Window]:
+def segment(seq: GazeSequence, window_s: float = DEFAULT_WINDOW_S, hop_s: float = DEFAULT_HOP_S) -> Windows:
     """Cut *seq* into full windows starting at 0, hop, 2*hop, ... after its first timestamp.
 
     A window is emitted only if the sequence covers its whole span, where a
     sample covers one nominal frame interval; trailing partial windows are
     dropped. Raises if a gap leaves an in-span window without samples.
     """
-    if not (window_s > 0 and hop_s > 0):  # also refuses NaN
-        raise ValidationError("window_s and hop_s must be positive")
-    window_ms = window_s * 1000.0
-    hop_ms = hop_s * 1000.0
-    first = float(seq.timestamp_ms[0])
+    window_ms, hop_ms = window_s * 1000.0, hop_s * 1000.0
+    if not (0 < window_ms < math.inf and 0 < hop_ms < math.inf):  # also refuses NaN
+        raise ValidationError("window_s and hop_s must be positive and finite")
     count = expected_window_count(seq.duration_ms, window_ms, hop_ms)
-    windows = []
-    for k in range(count):
-        start = first + k * hop_ms
-        end = start + window_ms
-        lo, hi = np.searchsorted(seq.timestamp_ms, [start, end], side="left")
-        if hi <= lo:
-            raise ValidationError(
-                f"window at {start:.1f} ms contains no samples; the sequence has a gap wider than the window"
-            )
-        windows.append(Window(seq=seq, start_ms=start, end_ms=end, lo=int(lo), hi=int(hi)))
-    return windows
+    starts = float(seq.timestamp_ms[0]) + np.arange(count) * hop_ms
+    spans = np.column_stack([starts, starts + window_ms])
+    lo = np.searchsorted(seq.timestamp_ms, spans[:, 0], side="left")
+    hi = np.searchsorted(seq.timestamp_ms, spans[:, 1], side="left")
+    empty = np.flatnonzero(hi <= lo)
+    if len(empty):
+        raise ValidationError(
+            f"window at {starts[empty[0]]:.1f} ms contains no samples; the sequence has a gap wider than the window"
+        )
+    return Windows(seq, spans, lo, hi)
 
 
 def targets_for_spans(spans: np.ndarray, track: AnnotationTrack) -> np.ndarray:

@@ -13,6 +13,8 @@ import math
 import numpy as np
 import scipy.stats
 
+from gazecast.errors import ValidationError
+
 
 # --- reference statistics ----------------------------------------------------
 
@@ -163,7 +165,40 @@ def loop_zone_stats(xs, ys, axis, grid, bounds) -> tuple[float, float]:
     return float(np.mean(stds)), float(np.std(stds, ddof=1))
 
 
-# --- QP oracle for the epsilon-SVR dual ---------------------------------------
+# --- KKT audit and QP oracle for the epsilon-SVR dual -------------------------
+
+
+def kkt_violations(model, data, config=None) -> float:
+    """Max KKT violation of a fitted model on its training data (x, y).
+
+    Requires solver diagnostics (a freshly fitted or truncated model);
+    serialized models do not retain the multipliers needed for the check.
+    """
+    if model.diagnostics is None:
+        raise ValidationError("model lacks solver diagnostics; only in-memory fits can be audited")
+    cfg = config or model.config
+    x, y = data
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    d = model.diagnostics
+    stds = np.where(model.feature_stds == 0.0, 1.0, model.feature_stds)
+    z = (x - model.feature_means) / stds
+    y_std = (y - model.target_mean) / model.target_std
+    r = y_std - z @ d.weights_std
+    v_up = r - cfg.epsilon
+    v_dn = r + cfg.epsilon
+    b = d.bias_std
+    c = cfg.complexity_c
+    worst = 0.0
+    if np.any(d.alpha_up < c):
+        worst = max(worst, float(np.max(v_up[d.alpha_up < c]) - b))
+    if np.any(d.alpha_up > 0):
+        worst = max(worst, float(b - np.min(v_up[d.alpha_up > 0])))
+    if np.any(d.alpha_down > 0):
+        worst = max(worst, float(np.max(v_dn[d.alpha_down > 0]) - b))
+    if np.any(d.alpha_down < c):
+        worst = max(worst, float(b - np.min(v_dn[d.alpha_down < c])))
+    return max(worst, 0.0)
 
 
 def project_box_hyperplane(v: np.ndarray, d: np.ndarray, c: float) -> np.ndarray:

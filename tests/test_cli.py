@@ -166,6 +166,18 @@ class TestNanSettings:
     def test_nan_exits_3(self, tmp_path, capsys, command, flag, message):
         self._check_exits_3(tmp_path, capsys, command, flag, "nan", message)
 
+    @pytest.mark.parametrize("setting, message", [
+        ("--window-sec=inf", "window_s and hop_s must be positive and finite"),
+        ("--hop-sec=inf", "window_s and hop_s must be positive and finite"),
+        ("--zone-bounds=-inf,1,-1,1", "zone_bounds must be finite"),
+        ("--zone-bounds=nan,1,-1,1", "zone_bounds must be finite"),
+    ])
+    def test_non_finite_extract_setting_exits_3(self, tmp_path, capsys, setting, message):
+        out = tmp_path / "out"
+        assert run("extract", "--gaze", FIXTURES / "golden_gaze.csv", "--out", out, setting) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_max_steps_below_one_exits_3(self, tmp_path, capsys):
         self._check_exits_3(tmp_path, capsys, "select", "--max-steps", "-1", "max_steps must be None or >= 1")
 
@@ -229,6 +241,47 @@ class TestFileFaults:
         err = capsys.readouterr().err
         assert str(path) in err
         assert ".tmp" not in err
+
+
+class TestCsvFaultsNameTheFile:
+    """A fault in a gaze or annotation CSV names that file, with the exit code of the fault."""
+
+    def test_gaze_file_with_byte_ff(self, tmp_path, capsys):
+        bad = tmp_path / "bad_gaze.csv"
+        bad.write_bytes((FIXTURES / "golden_gaze.csv").read_bytes().replace(b"\n", b"\n\xff", 1))
+        assert run("extract", "--gaze", bad, "--out", tmp_path / "f.csv") == 2
+        assert f"{bad}: line 2: text is not utf-8" in capsys.readouterr().err
+
+    def test_gaze_value_fault(self, tmp_path, capsys):
+        bad = tmp_path / "bad_gaze.csv"
+        bad.write_text("frame,timestamp_ms,gaze_x,gaze_y,screen_distance_mm,eye_closed\n"
+                       "0,0,0.1,0.0,600,0\n1,0,0.1,0.0,600,0\n")
+        assert run("extract", "--gaze", bad, "--out", tmp_path / "f.csv") == 3
+        assert f"{bad}: data row 2" in capsys.readouterr().err
+
+    def test_second_annotation_file_of_a_manifest(self, tmp_path, capsys):
+        manifest = TestPipeline()._corpus(tmp_path)
+        bad = tmp_path / "file1_ann.csv"
+        bad.write_text("timestamp_ms,value\n0.0,0.1\noops,0.2\n", encoding="utf-8")
+        assert run("pipeline", "--manifest", manifest) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: data row 2: unparseable value 'oops'" in err
+        assert "file0_ann.csv" not in err
+
+    def test_manifest_recording_shorter_than_a_window(self, tmp_path, capsys):
+        manifest = TestPipeline()._corpus(tmp_path)
+        short = tmp_path / "file1_gaze.csv"
+        short.write_text("\n".join(short.read_text(encoding="utf-8").splitlines()[:61]) + "\n", encoding="utf-8")
+        assert run("pipeline", "--manifest", manifest) == 3
+        assert f"{short}: recording is shorter than one 3 s window" in capsys.readouterr().err
+
+    def test_annotation_ending_before_the_final_window(self, tmp_path, capsys):
+        _, features = make_recording(tmp_path, "rec", seed=3, duration_s=9.0)
+        ann = tmp_path / "short_ann.csv"
+        write_annotation(ann, [(0.0, 0.1), (1000.0, 0.2)])
+        assert run("train", "--features", features, "--annotations", ann, "--dimension", "arousal",
+                   "--out", tmp_path / "m.txt") == 3
+        assert f"{ann}: annotation track ends at 1000.0 ms" in capsys.readouterr().err
 
 
 class TestTrain:

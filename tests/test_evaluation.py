@@ -177,7 +177,7 @@ class TestCrossVal:
         rng = np.random.default_rng(8)
         x = rng.normal(size=(20, 3))
         y = np.full(20, 0.3)  # constant target -> constant predictions everywhere
-        mean_cc, scores, degenerate = cross_val_cc(x, y, SvrConfig(complexity_c=1.0), k=4, seed=0)
+        [(mean_cc, scores, degenerate)] = cross_val_cc([x], y, SvrConfig(complexity_c=1.0), kfold_split(20, 4, 0))
         assert degenerate == 4
         assert scores == [-1.0] * 4
         assert mean_cc == -1.0
@@ -192,7 +192,7 @@ class TestCrossVal:
         assert [c for c, _ in results] == grid
         for c, score in results:
             cfg = SvrConfig(complexity_c=c)
-            expected, _, _ = cross_val_cc(x, y, cfg, k=5, seed=3)
+            [(expected, _, _)] = cross_val_cc([x], y, cfg, kfold_split(40, 5, 3))
             assert score == expected
         assert best == max(results, key=lambda t: t[1])[0]
 
@@ -268,8 +268,10 @@ def _manual_model(weights, bias=0.0):
 
 
 def _evaluate_windows(model, levels):
-    """extract_matrix -> predict_matrix -> evaluate_arrays over one window per level, gold = level."""
-    windows = [w for level in levels for w in segment(make_sequence(n=90, xs=np.full(90, level)))]
+    """extract_matrix -> predict_matrix -> evaluate_arrays over one 3 s window per level, gold = level."""
+    # One constant 3 s stretch per level; with no level, a 2.5 s recording, too short for a window.
+    seq = make_sequence(n=90 * len(levels), xs=np.repeat(levels, 90)) if levels else make_sequence(n=75)
+    windows = segment(seq, window_s=3.0, hop_s=3.0)
     return evaluate_arrays(predict_matrix(model, extract_matrix(windows)), np.array(levels), "arousal")
 
 

@@ -1,14 +1,14 @@
-"""Batched extraction: extract_matrix against per-window extract and the loop oracles."""
+"""Batched extraction: extract_matrix against batches of one, a per-window reference and the loop oracles."""
 
+import dataclasses
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 
 from gazecast import features
 from gazecast.errors import ValidationError
-from gazecast.features import FEATURE_NAMES, FeatureConfig, extract, extract_matrix
+from gazecast.features import FEATURE_NAMES, FeatureConfig, extract_matrix
 from gazecast.ingest import GazeSequence
 from gazecast.windowing import segment
 
@@ -69,9 +69,22 @@ def _mean_std0(values) -> list[float]:
     return [float(np.mean(values)), _std0(values)]
 
 
-def reference_row(w, config: FeatureConfig) -> list[float]:
-    xs, ys, ts, dist_mm, closed = w.xs, w.ys, w.timestamps_ms, w.distances_mm, w.closed
-    rate = w.seq.nominal_rate_hz
+def window_samples(windows, i: int):
+    """(xs, ys, timestamps_ms, distances_mm, closed) of window *i*, as views."""
+    seq, take = windows.seq, slice(windows.lo[i], windows.hi[i])
+    return (seq.gaze_x[take], seq.gaze_y[take], seq.timestamp_ms[take],
+            seq.screen_distance_mm[take], seq.eye_closed[take])
+
+
+def one_window(windows, i: int):
+    """Window *i* of *windows* as a record of its own: a batch of one."""
+    return dataclasses.replace(windows, spans=windows.spans[i : i + 1], lo=windows.lo[i : i + 1],
+                               hi=windows.hi[i : i + 1])
+
+
+def reference_row(windows, i: int, config: FeatureConfig) -> list[float]:
+    xs, ys, ts, dist_mm, closed = window_samples(windows, i)
+    rate = windows.seq.nominal_rate_hz
     approaching = -np.diff(dist_mm) > config.approach_delta_mm
     durations = [float(ts[b] - ts[a]) for a, b in loop_runs(approaching)]
     row = [float(np.mean(approaching)), float(np.mean(durations)) if durations else 0.0]
@@ -109,19 +122,22 @@ class TestBatchEqualsPerWindow:
         "config", [FeatureConfig(), FeatureConfig(psd_mode="normalized", zone_grid=5)], ids=["default", "normalized"]
     )
     def test_jittered_multi_chunk_recording_plus_second_sequence(self, config):
-        long_seq = recording(1500.0, seed=1, jitter_ms=4.0)
-        windows = segment(long_seq) + segment(recording(40.0, seed=2))
-        sizes = Counter((id(w.seq), w.n_samples) for w in windows)
-        assert len({n for _, n in sizes}) >= 2  # windows differ in length
-        assert max(sizes.values()) > 2 * CHUNK  # one length group spans more than two chunks
+        long_windows = segment(recording(1500.0, seed=1, jitter_ms=4.0))
+        _, sizes = np.unique(long_windows.hi - long_windows.lo, return_counts=True)
+        assert len(sizes) >= 2  # windows differ in length
+        assert max(sizes) > 2 * CHUNK  # one length group spans more than two chunks
 
-        got = extract_matrix(windows, config)
-        assert got.shape == (len(windows), len(FEATURE_NAMES))
-        assert np.array_equal(got, np.stack([extract(w, config).values for w in windows]))
-        assert np.array_equal(got, np.array([reference_row(w, config) for w in windows]))
+        for windows in (long_windows, segment(recording(40.0, seed=2))):
+            got = extract_matrix(windows, config)
+            assert got.shape == (len(windows), len(FEATURE_NAMES))
+            assert np.array_equal(got, np.vstack([extract_matrix(one_window(windows, i), config)
+                                                  for i in range(len(windows))]))
+            assert np.array_equal(got, np.array([reference_row(windows, i, config) for i in range(len(windows))]))
 
     def test_empty_window_list(self):
-        got = extract_matrix([])
+        windows = segment(recording(2.0, seed=5))  # shorter than a window
+        assert len(windows) == 0
+        got = extract_matrix(windows)
         assert got.shape == (0,) and got.dtype == np.float64
 
 
@@ -133,26 +149,26 @@ class TestBatchMatchesOracles:
         matrix = extract_matrix(windows)
         rate = seq.nominal_rate_hz
         bounds = (-1.0, 1.0, -1.0, 1.0)
-        for w, row in zip(windows, matrix):
+        for i, (start, row) in enumerate(zip(windows.spans[:, 0], matrix)):
             got = dict(zip(FEATURE_NAMES, row))
-            xs, ys, ts = w.xs, w.ys, w.timestamps_ms
+            xs, ys, ts, dist_mm, closed = window_samples(windows, i)
             loops = {}
-            loops["approach_ratio"], loops["approach_time_avg_ms"] = loop_approach(w.distances_mm, ts, 0.0)
+            loops["approach_ratio"], loops["approach_time_avg_ms"] = loop_approach(dist_mm, ts, 0.0)
             loops["scan_path_len_avg"], loops["scan_path_len_std"] = _mean_std0(loop_scan_paths(xs, ys, ts, 0.5))
             for axis, coords in (("x", xs), ("y", ys)):
                 mean, std, skew, iqr12, iqr23 = reference_stats(coords)
                 stats = {"mean": mean, "std": std, "skewness": skew, "iqr_q1q2": iqr12, "iqr_q2q3": iqr23}
                 for name, value in stats.items():
-                    assert got[f"{axis}_{name}"] == pytest.approx(value, rel=1e-12, abs=1e-12), (w.start_ms, name)
+                    assert got[f"{axis}_{name}"] == pytest.approx(value, rel=1e-12, abs=1e-12), (start, name)
                 psd = [got[f"{axis}_psd_b{b}"] for b in range(1, 6)]
                 np.testing.assert_allclose(psd, dft_band_psd(coords, rate), rtol=1e-9)
                 loops[f"{axis}_fixzone_std_avg"], loops[f"{axis}_fixzone_std_std"] = loop_zone_stats(
                     xs, ys, axis, 3, bounds
                 )
             (loops["eye_close_count_avg"], loops["eye_close_count_std"],
-             loops["eye_close_count_skew"]) = loop_closure(w.closed)
+             loops["eye_close_count_skew"]) = loop_closure(closed)
             for name, value in loops.items():
-                assert got[name] == pytest.approx(value, rel=1e-9, abs=1e-9), (w.start_ms, name)
+                assert got[name] == pytest.approx(value, rel=1e-9, abs=1e-9), (start, name)
 
 
 class TestErrorOrder:
@@ -171,17 +187,20 @@ class TestErrorOrder:
         with pytest.raises(ValidationError, match="window at 80000.0 ms contains non-finite"):
             extract_matrix(windows)
 
-    def test_input_order_decides_not_time(self):
-        windows = self._nan_windows()[::-1]
-        with pytest.raises(ValidationError, match=f"window at {(2 * CHUNK + 5) * 2000.0 + 2000.0:.1f} ms"):
-            extract_matrix(windows)
+    @staticmethod
+    def _shortened(windows, i: int):
+        hi = windows.hi.copy()
+        hi[i] = windows.lo[i] + 1
+        return dataclasses.replace(windows, hi=hi)
 
     def test_short_window_before_nan_window_is_reported_first(self):
+        with pytest.raises(ValidationError, match="window at 2000.0 ms has 1 sample"):
+            extract_matrix(self._shortened(self._nan_windows(), 1))
+
+    def test_nan_window_before_short_window_is_reported_first(self):
         windows = self._nan_windows()
-        w = windows[-1]
-        tiny = type(w)(seq=w.seq, start_ms=w.start_ms, end_ms=w.end_ms, lo=w.lo, hi=w.lo + 1)
-        with pytest.raises(ValidationError, match="has 1 sample"):
-            extract_matrix([windows[0], tiny] + windows)
+        with pytest.raises(ValidationError, match="window at 80000.0 ms contains non-finite"):
+            extract_matrix(self._shortened(windows, len(windows) - 1))
 
     def test_non_finite_features_from_finite_input(self):
         xs = np.tile([1e308, -1e308], 45)

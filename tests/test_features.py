@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,13 +11,11 @@ from gazecast.errors import ValidationError
 from gazecast.features import (
     FEATURE_NAMES,
     FeatureConfig,
-    FeatureVector,
     approach_stats,
     band_psd,
     descriptive_stats,
-    extract,
+    extract_matrix,
     eye_closure_stats,
-    feature_names,
     fixation_zone_stats,
     scan_path_stats,
 )
@@ -35,9 +34,14 @@ finite_series = st.lists(
 )
 
 
+def first_window(seq, config: FeatureConfig = FeatureConfig()) -> dict[str, float]:
+    """The features of *seq*'s first window, by name."""
+    return dict(zip(FEATURE_NAMES, extract_matrix(segment(seq), config)[0].tolist()))
+
+
 class TestFeatureNames:
     def test_canonical_anchors(self):
-        names = feature_names()
+        names = FEATURE_NAMES
         assert len(names) == 31
         assert names[0] == "approach_ratio"
         assert names[4] == "x_mean"
@@ -45,16 +49,16 @@ class TestFeatureNames:
         assert names[30] == "eye_close_count_skew"
 
     def test_grouping(self):
-        names = feature_names()
+        names = FEATURE_NAMES
         assert sum(n.startswith("approach") for n in names) == 2
         assert sum(n.startswith("scan_path") for n in names) == 2
         assert sum(n.startswith(("x_", "y_")) for n in names) == 24
         assert sum(n.startswith("eye_close") for n in names) == 3
 
     def test_stable_copy(self):
-        names = feature_names()
-        names[0] = "mutated"
-        assert feature_names()[0] == "approach_ratio"
+        with pytest.raises(TypeError):
+            FEATURE_NAMES[0] = "mutated"
+        assert FEATURE_NAMES[0] == "approach_ratio"
 
 
 # Inputs that once broke the skewness moments: m2**1.5 underflowing to 0,
@@ -268,9 +272,8 @@ class TestEyeClosure:
 class TestExtract:
     def test_constant_window(self):
         seq = make_sequence(n=90, xs=np.full(90, 0.3), ys=np.full(90, -0.2))
-        (window,) = segment(seq)
-        fv = extract(window)
-        d = fv.as_dict()
+        assert len(segment(seq)) == 1
+        d = first_window(seq)
         assert d["x_mean"] == pytest.approx(0.3)
         assert d["y_mean"] == pytest.approx(-0.2)
         for name, value in d.items():
@@ -282,59 +285,43 @@ class TestExtract:
 
         expected = json.loads((FIXTURES / "golden_window.json").read_text())["values"]
         seq = synthesize_sequence(GOLDEN_SPEC, GOLDEN_SEED)
-        (window,) = segment(seq)
-        fv = extract(window)
-        for name, got in fv.as_dict().items():
+        assert len(segment(seq)) == 1
+        for name, got in first_window(seq).items():
             assert got == pytest.approx(expected[name], rel=1e-9, abs=1e-9), name
 
     def test_length_and_name_alignment(self):
-        seq = make_sequence(n=90)
-        fv = extract(segment(seq)[0])
-        assert len(fv.values) == 31
-        assert list(fv.as_dict()) == feature_names()
+        seq = make_sequence(n=270)
+        matrix = extract_matrix(segment(seq))
+        assert matrix.shape == (4, 31) == (len(segment(seq)), len(FEATURE_NAMES))
 
     def test_window_too_small(self):
         seq = make_sequence(n=90)
-        w = segment(seq)[0]
-        tiny = type(w)(seq=w.seq, start_ms=w.start_ms, end_ms=w.end_ms, lo=0, hi=1)
-        with pytest.raises(ValidationError):
-            extract(tiny)
+        windows = segment(seq)
+        tiny = dataclasses.replace(windows, hi=windows.lo + 1)
+        with pytest.raises(ValidationError, match="has 1 sample"):
+            extract_matrix(tiny)
 
     def test_nan_window_refused(self):
         xs = np.zeros(90)
         xs[10] = np.nan
         seq = make_sequence(n=90, xs=xs)
         with pytest.raises(ValidationError, match="non-finite"):
-            extract(segment(seq)[0])
-
-    def test_feature_vector_invariants(self):
-        with pytest.raises(ValidationError):
-            FeatureVector(np.zeros(30))
-        bad = np.zeros(31)
-        bad[5] = np.inf
-        with pytest.raises(ValidationError):
-            FeatureVector(bad)
+            extract_matrix(segment(seq))
 
 
-def _noisy_window(seed=11, n=90, rate=30.0):
+def _noisy_sequence(seed=11, n=90, rate=30.0):
     rng = np.random.default_rng(seed)
     xs = 0.2 * np.cumsum(rng.normal(size=n)) / np.sqrt(n)
     ys = 0.2 * np.cumsum(rng.normal(size=n)) / np.sqrt(n)
     dist = 600.0 + np.cumsum(rng.normal(size=n))
     closed = rng.random(n) < 0.08
-    seq = make_sequence(n=n, rate_hz=rate, xs=xs, ys=ys, dist=dist, closed=closed)
-    return segment(seq)[0]
+    return make_sequence(n=n, rate_hz=rate, xs=xs, ys=ys, dist=dist, closed=closed)
 
 
 class TestInvariances:
     def test_time_shift_changes_nothing(self):
-        w = _noisy_window()
-        base = extract(w).values
-        seq = w.seq
-        shifted_seq = make_sequence(
-            n=len(seq), rate_hz=30.0, xs=seq.gaze_x, ys=seq.gaze_y,
-            dist=seq.screen_distance_mm, closed=seq.eye_closed,
-        )
+        seq = _noisy_sequence()
+        base = extract_matrix(segment(seq))[0]
         shifted_seq = type(seq)(
             frame_index=seq.frame_index,
             timestamp_ms=seq.timestamp_ms + 98765.0,
@@ -343,13 +330,12 @@ class TestInvariances:
             screen_distance_mm=seq.screen_distance_mm,
             eye_closed=seq.eye_closed,
         )
-        shifted = extract(segment(shifted_seq)[0]).values
+        shifted = extract_matrix(segment(shifted_seq))[0]
         np.testing.assert_allclose(shifted, base, rtol=1e-9, atol=1e-12)
 
     def test_translation_equivariance_x(self):
-        w = _noisy_window(seed=21)
-        base = extract(w).as_dict()
-        seq = w.seq
+        seq = _noisy_sequence(seed=21)
+        base = first_window(seq)
         c = 0.123
         moved_seq = type(seq)(
             frame_index=seq.frame_index,
@@ -359,15 +345,14 @@ class TestInvariances:
             screen_distance_mm=seq.screen_distance_mm,
             eye_closed=seq.eye_closed,
         )
-        moved = extract(segment(moved_seq)[0]).as_dict()
+        moved = first_window(moved_seq)
         assert moved["x_mean"] == pytest.approx(base["x_mean"] + c, rel=1e-12)
         for name in ("x_std", "x_skewness", "x_iqr_q1q2", "x_iqr_q2q3",
                      "x_psd_b1", "x_psd_b2", "x_psd_b3", "x_psd_b4", "x_psd_b5"):
             assert moved[name] == pytest.approx(base[name], rel=1e-9, abs=1e-12), name
 
     def test_scale_equivariance(self):
-        w = _noisy_window(seed=33)
-        seq = w.seq
+        seq = _noisy_sequence(seed=33)
         s = 2.5
         config = FeatureConfig()
         scaled_config = FeatureConfig(
@@ -382,8 +367,8 @@ class TestInvariances:
             screen_distance_mm=seq.screen_distance_mm,
             eye_closed=seq.eye_closed,
         )
-        base = extract(w, config).as_dict()
-        scaled = extract(segment(scaled_seq)[0], scaled_config).as_dict()
+        base = first_window(seq, config)
+        scaled = first_window(scaled_seq, scaled_config)
         for name in ("scan_path_len_avg", "scan_path_len_std",
                      "x_std", "x_iqr_q1q2", "x_iqr_q2q3", "y_std", "y_iqr_q1q2", "y_iqr_q2q3",
                      "x_fixzone_std_avg", "x_fixzone_std_std"):
@@ -395,5 +380,4 @@ class TestInvariances:
     @given(st.integers(min_value=0, max_value=2_000))
     @settings(max_examples=25)
     def test_extract_always_finite(self, seed):
-        fv = extract(_noisy_window(seed=seed))
-        assert np.all(np.isfinite(fv.values))
+        assert np.all(np.isfinite(extract_matrix(segment(_noisy_sequence(seed=seed)))))

@@ -10,18 +10,18 @@ from gazecast.regression import (
     TrainingSet,
     filter_zero_targets,
     fit_linear_svr,
-    kkt_violations,
-    load_model,
     model_from_text,
     model_to_text,
     _standardize_target,
     predict_matrix,
-    save_model,
     standardize_columns,
-    svr_fit,
 )
 
-from oracles import qp_oracle_svr
+from oracles import kkt_violations, qp_oracle_svr
+
+
+def fit_set(data: TrainingSet, config: SvrConfig):
+    return fit_linear_svr(data.features, data.targets, config, names=FEATURE_NAMES, dimension=data.dimension)
 
 
 def training_set(targets, seed=0, dimension="valence") -> TrainingSet:
@@ -226,14 +226,14 @@ class TestAgainstQpOracle:
 class TestPredict:
     def test_zero_weights_bias(self):
         data = training_set(np.full(5, 0.2), seed=12)
-        model = svr_fit(data, SvrConfig(complexity_c=0.0325))
+        model = fit_set(data, SvrConfig(complexity_c=0.0325))
         for _ in range(3):
             x = np.random.default_rng(13).normal(size=(1, 31))
             assert predict_matrix(model, x).tolist() == [0.2]
 
     def test_dimension_mismatch(self):
         data = training_set([0.1, 0.4, -0.2], seed=14)
-        model = svr_fit(data, SvrConfig(complexity_c=0.0325))
+        model = fit_set(data, SvrConfig(complexity_c=0.0325))
         with pytest.raises(ValidationError):
             predict_matrix(model, np.ones((1, 30)))
 
@@ -243,13 +243,11 @@ class TestModelFile:
         rng = np.random.default_rng(16)
         x = rng.normal(size=(20, 31))
         y = x[:, 3] * 0.4 + rng.normal(0, 0.05, 20)
-        return svr_fit(TrainingSet(x, y, "valence"), SvrConfig(complexity_c=0.091))
+        return fit_set(TrainingSet(x, y, "valence"), SvrConfig(complexity_c=0.091))
 
-    def test_roundtrip_exact(self, tmp_path):
+    def test_roundtrip_exact(self):
         model = self._model()
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = model_from_text(model_to_text(model))
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.feature_means, model.feature_means)
         assert np.array_equal(loaded.feature_stds, model.feature_stds)
@@ -261,12 +259,9 @@ class TestModelFile:
         assert loaded.config.epsilon == model.config.epsilon
         assert loaded.feature_names == tuple(FEATURE_NAMES)
 
-    def test_resave_is_byte_identical(self, tmp_path):
-        model = self._model()
-        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_model(model, a)
-        save_model(load_model(a), b)
-        assert a.read_bytes() == b.read_bytes()
+    def test_resave_is_byte_identical(self):
+        text = model_to_text(self._model())
+        assert model_to_text(model_from_text(text)) == text
 
     def test_magic_line(self):
         model = self._model()
@@ -287,10 +282,7 @@ class TestModelFile:
             model_from_text(text.replace("dimension valence\n", "dimension bogus\n"))
         assert model_from_text(text.replace("dimension valence\n", "dimension -\n")).dimension == ""
 
-    def test_loaded_model_cannot_be_audited(self, tmp_path):
-        model = self._model()
-        path = tmp_path / "m.txt"
-        save_model(model, path)
-        loaded = load_model(path)
+    def test_loaded_model_cannot_be_audited(self):
+        loaded = model_from_text(model_to_text(self._model()))
         with pytest.raises(ValidationError, match="diagnostics"):
             kkt_violations(loaded, (np.zeros((2, 31)), np.zeros(2)))

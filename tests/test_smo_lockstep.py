@@ -16,7 +16,7 @@ from gazecast.evaluation import (
     WORST_CC,
     SelectionReport,
     SelectionStep,
-    _cross_val_cc_folds,
+    cross_val_cc,
     kfold_split,
     pearson_cc,
     wrapper_greedy_stepwise,
@@ -205,7 +205,7 @@ class TestBatchedCv:
         subsets = [[j] for j in range(N_FEATURES)] + [[0, j] for j in range(1, N_FEATURES)]
         expected = [_sequential_cv(x[:, cols], y, config, folds) for cols in subsets]
         counter = _CountFits(monkeypatch)
-        got = _cross_val_cc_folds([x[:, cols] for cols in subsets], y, config, folds)
+        got = cross_val_cc([x[:, cols] for cols in subsets], y, config, folds)
         assert got == expected
         assert counter.calls == len(subsets) * len(folds)
         assert sum(d for _, _, d in got) >= 4 * len(folds)
@@ -230,7 +230,7 @@ class TestBatchedCv:
         want_calls, counter.calls = counter.calls, 0
         assert want_calls == 41
         with pytest.raises(ConvergenceError) as got:
-            _cross_val_cc_folds(subsets, y, config, folds)
+            cross_val_cc(subsets, y, config, folds)
         assert counter.calls == want_calls
         assert (str(got.value), got.value.violation) == (str(want.value), want.value.violation)
         assert got.value.model.diagnostics.alpha_up.tobytes() == want.value.model.diagnostics.alpha_up.tobytes()

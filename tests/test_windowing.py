@@ -15,22 +15,25 @@ class TestSegment:
     def test_nine_seconds_gives_four_windows(self):
         windows = segment(make_sequence(n=270, rate_hz=30.0))
         assert len(windows) == 4
-        assert [w.start_ms for w in windows] == [0.0, 2000.0, 4000.0, 6000.0]
-        assert all(w.end_ms - w.start_ms == 3000.0 for w in windows)
+        assert windows.spans[:, 0].tolist() == [0.0, 2000.0, 4000.0, 6000.0]
+        assert np.all(windows.spans[:, 1] - windows.spans[:, 0] == 3000.0)
 
     def test_shorter_than_window_gives_none(self):
-        assert segment(make_sequence(n=75, rate_hz=30.0)) == []  # 2.5 s
+        windows = segment(make_sequence(n=75, rate_hz=30.0))  # 2.5 s
+        assert len(windows) == 0 and windows.spans.shape == (0, 2)
 
     def test_exactly_one_window(self):
         windows = segment(make_sequence(n=90, rate_hz=30.0))  # 3.0 s
         assert len(windows) == 1
-        assert windows[0].n_samples == 90
+        assert (windows.lo[0], windows.hi[0]) == (0, 90)
 
     def test_window_samples_are_views_in_span(self):
         seq = make_sequence(n=270, rate_hz=30.0)
-        for w in segment(seq):
-            assert np.all(w.timestamps_ms >= w.start_ms)
-            assert np.all(w.timestamps_ms < w.end_ms)
+        windows = segment(seq)
+        ts = seq.timestamp_ms
+        for (start, end), lo, hi in zip(windows.spans, windows.lo, windows.hi):
+            assert np.all(ts[lo:hi] >= start) and np.all(ts[lo:hi] < end)
+            assert (lo == 0 or ts[lo - 1] < start) and (hi == len(ts) or ts[hi] >= end)  # every in-span sample
 
     def test_bad_params(self):
         seq = make_sequence(n=90)
@@ -38,6 +41,11 @@ class TestSegment:
             segment(seq, window_s=0.0)
         with pytest.raises(ValidationError):
             segment(seq, hop_s=-1.0)
+        for bad in (np.inf, np.nan, 1e306):  # 1e306 s overflows to inf ms
+            with pytest.raises(ValidationError, match="positive and finite"):
+                segment(seq, window_s=bad)
+            with pytest.raises(ValidationError, match="positive and finite"):
+                segment(seq, hop_s=bad)
 
     def test_gap_swallowing_window_raises(self):
         ts = np.concatenate([np.arange(60) * (1000.0 / 30.0)])
@@ -72,9 +80,8 @@ class TestSegment:
         assert len(windows) == loop_window_count(duration_s * 1000.0, 3000.0, hop_s * 1000.0)
 
     def test_consecutive_windows_overlap_by_window_minus_hop(self):
-        windows = segment(make_sequence(n=300, rate_hz=30.0), window_s=3.0, hop_s=2.0)
-        for a, b in zip(windows, windows[1:]):
-            assert a.end_ms - b.start_ms == pytest.approx(1000.0)  # 3 - 2 seconds
+        spans = segment(make_sequence(n=300, rate_hz=30.0), window_s=3.0, hop_s=2.0).spans
+        np.testing.assert_allclose(spans[:-1, 1] - spans[1:, 0], 1000.0)  # 3 - 2 seconds
 
     def test_time_shift_shifts_spans_only(self):
         n, rate = 270, 30.0
@@ -89,18 +96,13 @@ class TestSegment:
         )
         ws_a, ws_b = segment(base), segment(shifted)
         assert len(ws_a) == len(ws_b)
-        for a, b in zip(ws_a, ws_b):
-            assert b.start_ms - a.start_ms == pytest.approx(12345.0)
-            assert (a.lo, a.hi) == (b.lo, b.hi)
-
-
-def spans_of(windows) -> np.ndarray:
-    return np.array([[w.start_ms, w.end_ms] for w in windows])
+        np.testing.assert_allclose(ws_b.spans - ws_a.spans, 12345.0)
+        assert np.array_equal(ws_a.lo, ws_b.lo) and np.array_equal(ws_a.hi, ws_b.hi)
 
 
 class TestAlign:
     def _spans(self, n_windows=4):
-        return spans_of(segment(make_sequence(n=90 + 60 * (n_windows - 1), rate_hz=30.0)))
+        return segment(make_sequence(n=90 + 60 * (n_windows - 1), rate_hz=30.0)).spans
 
     def test_one_point_per_window_is_identity(self):
         spans = self._spans(4)
@@ -153,7 +155,7 @@ class TestAlign:
         seq = make_sequence(n=90 + 60 * 2, rate_hz=30.0)
         ts = np.array([100.0, 2100.0, 4100.0, 7100.0])
         vals = np.array([0.1, -0.2, 0.3, 0.05])
-        base = targets_for_spans(spans_of(segment(seq)), AnnotationTrack(ts, vals, "valence"))
+        base = targets_for_spans(segment(seq).spans, AnnotationTrack(ts, vals, "valence"))
         shift = 5000.0
         seq2 = GazeSequence(
             frame_index=np.arange(len(seq.timestamp_ms)),
@@ -163,7 +165,7 @@ class TestAlign:
             screen_distance_mm=seq.screen_distance_mm,
             eye_closed=seq.eye_closed,
         )
-        shifted = targets_for_spans(spans_of(segment(seq2)), AnnotationTrack(ts + shift, vals, "valence"))
+        shifted = targets_for_spans(segment(seq2).spans, AnnotationTrack(ts + shift, vals, "valence"))
         assert base.tolist() == shifted.tolist()
 
     @given(
