@@ -125,15 +125,15 @@ def grid_search_c(
 
     Ties keep the earliest candidate in the given order.
     """
-    cs = list(cs)
-    if not cs:
+    configs = [replace(base_config, complexity_c=float(c)) for c in cs]  # refuses a bad C before any fit
+    if not configs:
         raise ValidationError("empty complexity grid")
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     folds = kfold_split(len(y), k, seed)
     results = []
-    for c in cs:
-        [(mean_cc, _, _)] = cross_val_cc([x], y, replace(base_config, complexity_c=float(c)), folds)
-        results.append((float(c), mean_cc))
+    for config in configs:
+        [(mean_cc, _, _)] = cross_val_cc([x], y, config, folds)
+        results.append((config.complexity_c, mean_cc))
     best_score = max(score for _, score in results)
     best_c = next(c for c, score in results if score == best_score)  # earliest wins ties
     return best_c, results

@@ -4,11 +4,12 @@ The dual is solved in the classic two-multiplier form: each training point i
 carries a pair (alpha_i, alpha*_i) in [0, C], alpha pulling the prediction up
 and alpha* pulling it down, under the coupling constraint
 sum(alpha - alpha*) = 0. Each iteration picks the maximal violating pair of
-multiplier slots and minimizes the objective exactly along the feasible
-two-slot direction. Features and target are z-scored internally (sample std,
-zero-variance columns get a sentinel std of 1), so the complexity parameter C
-and the tube half-width epsilon both live in standardized space; returned
-weights and bias are collapsed back to original units.
+multiplier slots (the two-threshold rule of Shevade et al., IEEE TNN 2000)
+and minimizes the objective exactly along the feasible two-slot direction.
+Features and target are z-scored internally (sample std, zero-variance
+columns get a sentinel std of 1), so the complexity parameter C and the tube
+half-width epsilon both live in standardized space; returned weights and
+bias are collapsed back to original units.
 
 :func:`fit_linear_svr` is the one fit entry point, on raw (x, y) arrays;
 :func:`model_to_text` and :func:`model_from_text` are the one model file
@@ -26,6 +27,13 @@ lock-step update repeats the scalar loop's operations in its order and with
 its ties, so multipliers, bias, update count and KKT gap are bit-identical to
 those of the fit run alone. Fits too large for more than a few slots (about
 540 rows and up) never enter a pool.
+
+Both loops hold a fit's 2n multiplier slots as one ``[alpha_up |
+alpha_down]`` array, so that the first extreme over it prefers the up slot
+on ties, then the lowest index, and both read Gram rows where columns are
+meant, which is exact because ``z @ z.T`` equals its transpose bit for bit.
+:func:`_smo_solve` picks its pair with one min, one max, one argmax and one
+argmin over preallocated buffers.
 """
 
 from __future__ import annotations
@@ -77,13 +85,14 @@ class SvrConfig:
     max_passes: int = 200_000
 
     def __post_init__(self):
-        # Written as not (v > 0) so that NaN fails them too.
-        if not (self.complexity_c > 0):
-            raise ValidationError("complexity_c must be > 0")
-        if not (self.epsilon >= 0):
-            raise ValidationError("epsilon must be >= 0")
-        if not (self.tolerance > 0):
-            raise ValidationError("tolerance must be > 0")
+        # Written as not (0 < v < inf) so that NaN fails them too. A finite
+        # setting keeps the solver's v = y - u -/+ epsilon finite.
+        if not (0 < self.complexity_c < math.inf):
+            raise ValidationError("complexity_c must be > 0 and finite")
+        if not (0 <= self.epsilon < math.inf):
+            raise ValidationError("epsilon must be >= 0 and finite")
+        if not (0 < self.tolerance < math.inf):
+            raise ValidationError("tolerance must be > 0 and finite")
         if not (self.max_passes >= 1):
             raise ValidationError("max_passes must be >= 1")
 
@@ -216,61 +225,80 @@ def _smo_solve(
     where the gap is the worst KKT bound mismatch b_lo - b_hi. Resuming a
     state that an earlier run of this loop (or of :func:`_smo_lockstep`)
     stopped in gives the iterates that run would have gone on to.
+
+    The 2n multiplier slots live in one array ``alpha = [alpha_up |
+    alpha_down]`` beside v = [r - eps | r + eps], r = y - u. The bias must
+    satisfy b >= v on the lower set (alpha_up < C, alpha_down > 0) and
+    b <= v on the upper set (alpha_up > 0, alpha_down < C). lo_cap is +inf
+    on the lower set and -inf elsewhere, hi_cap -inf on the upper set and
+    +inf elsewhere, so ``min(v, lo_cap)`` and ``max(v, hi_cap)`` are v inside
+    the set and -inf or +inf outside it: exactly the masked copies for
+    finite v, -0.0 included (SvrConfig refuses non-finite settings). The
+    first argmax of one and the first argmin of the other are the pair, up
+    slot before down slot on ties, then the lowest index. An update moves
+    two slots, so only their caps are rewritten.
+
+    An update reads Gram rows, which are contiguous, where the pair's
+    columns are meant: ``z @ z.T`` is computed by a symmetric rank-k update
+    that mirrors one triangle, so K equals its transpose bit for bit
+    (pinned by a test). Every _REFRESH_EVERY updates u is recomputed from
+    the multipliers to shed accumulated rounding.
     """
     n = len(y)
     if start is None:
-        a_up, a_dn, u, it = np.zeros(n), np.zeros(n), np.zeros(n), 0  # u = K @ (a_up - a_dn)
+        alpha, u, it = np.zeros(2 * n), np.zeros(n), 0  # u = K @ (alpha_up - alpha_down)
     else:
-        a_up, a_dn, u = (np.array(v, dtype=np.float64) for v in start[:3])
-        it = int(start[3])
-    neg_inf = -np.inf
+        alpha = np.concatenate([np.asarray(a, dtype=np.float64) for a in start[:2]])
+        u, it = np.array(start[2], dtype=np.float64), int(start[3])
+    a_up, a_dn = alpha[:n], alpha[n:]
+    inf = math.inf
+    lo_cap = np.where(np.concatenate([a_up < c, a_dn > 0.0]), inf, -inf)
+    hi_cap = np.where(np.concatenate([a_up > 0.0, a_dn < c]), -inf, inf)
+    r, du = np.empty(n), np.empty(n)
+    v, lo, hi = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
+    v_up, v_dn = v[:n], v[n:]
     while True:
-        r = y - u
-        v_up = r - eps
-        v_dn = r + eps
-        # b must satisfy: b >= v_up where a_up < C, b >= v_dn where a_dn > 0,
-        #                 b <= v_up where a_up > 0, b <= v_dn where a_dn < C.
-        lo_up = np.where(a_up < c, v_up, neg_inf)
-        lo_dn = np.where(a_dn > 0.0, v_dn, neg_inf)
-        hi_up = np.where(a_up > 0.0, v_up, -neg_inf)
-        hi_dn = np.where(a_dn < c, v_dn, -neg_inf)
-        iu, idn = int(np.argmax(lo_up)), int(np.argmax(lo_dn))
-        ju, jdn = int(np.argmin(hi_up)), int(np.argmin(hi_dn))
-        if lo_up[iu] >= lo_dn[idn]:
-            i_slot, i_val, b_lo = ("up", iu, lo_up[iu])
-        else:
-            i_slot, i_val, b_lo = ("dn", idn, lo_dn[idn])
-        if hi_up[ju] <= hi_dn[jdn]:
-            j_slot, j_val, b_hi = ("up", ju, hi_up[ju])
-        else:
-            j_slot, j_val, b_hi = ("dn", jdn, hi_dn[jdn])
+        np.subtract(y, u, out=r)
+        np.subtract(r, eps, out=v_up)
+        np.add(r, eps, out=v_dn)
+        np.minimum(v, lo_cap, out=lo)
+        np.maximum(v, hi_cap, out=hi)
+        i, j = int(lo.argmax()), int(hi.argmin())
+        b_lo, b_hi = lo[i], hi[j]
         gap = b_lo - b_hi
-        if gap <= tol:
-            return a_up, a_dn, float((b_lo + b_hi) / 2.0), it, True, float(gap)
-        if it >= max_iter:
-            return a_up, a_dn, float((b_lo + b_hi) / 2.0), it, False, float(gap)
+        if gap <= tol or it >= max_iter:
+            return a_up, a_dn, float((b_lo + b_hi) / 2.0), it, bool(gap <= tol), float(gap)
 
-        k, m = i_val, j_val
+        i_up, j_up = i < n, j < n
+        k, m = i % n, j % n
         eta = k_mat[k, k] + k_mat[m, m] - 2.0 * k_mat[k, m]
-        cap_i = (c - a_up[k]) if i_slot == "up" else a_dn[k]
-        cap_j = a_up[m] if j_slot == "up" else (c - a_dn[m])
-        step = gap / eta if eta > 1e-12 else math.inf
+        a_i, a_j = alpha[i], alpha[j]
+        cap_i = (c - a_i) if i_up else a_i
+        cap_j = a_j if j_up else (c - a_j)
+        step = gap / eta if eta > 1e-12 else inf
         lam = min(step, cap_i, cap_j)
 
-        if i_slot == "up":
-            a_up[k] = c if lam >= cap_i else a_up[k] + lam
+        # i and j never name the same slot: that would make the gap 0, and the tolerance is > 0.
+        if i_up:
+            alpha[i] = c if lam >= cap_i else a_i + lam
         else:
-            a_dn[k] = 0.0 if lam >= cap_i else a_dn[k] - lam
-        if j_slot == "up":
-            a_up[m] = 0.0 if lam >= cap_j else a_up[m] - lam
+            alpha[i] = 0.0 if lam >= cap_i else a_i - lam
+        if j_up:
+            alpha[j] = 0.0 if lam >= cap_j else a_j - lam
         else:
-            a_dn[m] = c if lam >= cap_j else a_dn[m] + lam
+            alpha[j] = c if lam >= cap_j else a_j + lam
+        for s, s_up in ((i, i_up), (j, j_up)):
+            below_c, above_0 = alpha[s] < c, alpha[s] > 0.0
+            lo_cap[s] = inf if (below_c if s_up else above_0) else -inf
+            hi_cap[s] = -inf if (above_0 if s_up else below_c) else inf
 
         if k != m:
-            u += lam * (k_mat[:, k] - k_mat[:, m])
+            np.subtract(k_mat[k], k_mat[m], out=du)
+            du *= lam
+            u += du
         it += 1
         if it % _REFRESH_EVERY == 0:
-            u = k_mat @ (a_up - a_dn)  # shed accumulated rounding
+            u[:] = k_mat @ (a_up - a_dn)
 
 
 def _smo_lockstep(
@@ -305,8 +333,9 @@ def _smo_lockstep(
         yield from ((i, None) for i in range(count))
         return
     c, eps, tol, max_iter = config.complexity_c, config.epsilon, config.tolerance, config.max_passes
-    # gram[slot[r]] holds the transposed Gram of the fit in row r, so that the
-    # Gram column an update needs is a contiguous row. Rows [0, live) run.
+    # gram[slot[r]] holds the Gram of the fit in row r; it equals its transpose
+    # bit for bit (see _smo_solve), so the Gram column an update needs is read
+    # as a contiguous row. Rows [0, live) run.
     # alpha holds [alpha_up | alpha_down]: one argmax over a row then prefers
     # the up slot on ties, as the scalar loop does. The Gram stack gets its own
     # anonymous mapping, whose pages go back to the system when the pool ends:
@@ -334,7 +363,7 @@ def _smo_lockstep(
                 continue
             z = standardize_columns(x)[2]
             k_mat = z @ z.T
-            gram[slot[row]] = k_mat.T
+            gram[slot[row]] = k_mat
             diag[row] = np.diagonal(k_mat)
             y_std[row] = _standardize_target(y)[2]
             alpha[row] = 0.0
@@ -385,7 +414,7 @@ def _smo_lockstep(
 
         i_up, j_up = i < n, j < n
         k, m = i % n, j % n
-        eta = diag[r, k] + diag[r, m] - 2.0 * gram[s, m, k]
+        eta = diag[r, k] + diag[r, m] - 2.0 * gram[s, k, m]
         a_i, a_j = a[r, i], a[r, j]
         cap_i = np.where(i_up, c - a_i, a_i)
         cap_j = np.where(j_up, a_j, c - a_j)
@@ -404,8 +433,8 @@ def _smo_lockstep(
             u[r[moved]] += lam[moved, None] * (gram[s, k] - gram[s, m])
         iters[:p] += 1
         for row in np.flatnonzero(iters[:p] % _REFRESH_EVERY == 0):
-            # Shed accumulated rounding, with the scalar loop's product on the untransposed Gram.
-            u[row] = np.ascontiguousarray(gram[slot[row]].T) @ (alpha[row, :n] - alpha[row, n:])
+            # Shed accumulated rounding, with the scalar loop's product.
+            u[row] = gram[slot[row]] @ (alpha[row, :n] - alpha[row, n:])
     for row in range(live):
         yield int(owner[row]), state(row)
     yield from ((i, None) for i in range(cursor, count))

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the library's own code paths: loops
 instead of vectorized run-length tricks, explicit DFT sums instead of FFT,
-scipy reference statistics instead of hand-rolled moments, and an
-accelerated projected-gradient QP solver instead of SMO.
+scipy reference statistics instead of hand-rolled moments, an
+accelerated projected-gradient QP solver instead of SMO, and the SMO
+loop in its plain two-array form.
 """
 
 from __future__ import annotations
@@ -199,6 +200,79 @@ def kkt_violations(model, data, config=None) -> float:
     if np.any(d.alpha_down < c):
         worst = max(worst, float(b - np.min(v_dn[d.alpha_down < c])))
     return max(worst, 0.0)
+
+
+# --- reference SMO loop -------------------------------------------------------
+
+
+def reference_smo_solve(
+    k_mat: np.ndarray, y: np.ndarray, c: float, eps: float, tol: float, max_iter: int,
+    start=None,
+) -> tuple[np.ndarray, np.ndarray, float, int, bool, float]:
+    """Maximal-violating-pair SMO on the epsilon-SVR dual, from *start* (default: the zero state).
+
+    The reference that regression._smo_solve must match bit for bit, in the
+    plain two-array form: separate alpha_up and alpha_down arrays, four
+    masked copies of v per update, one argmax or argmin per copy, and Gram
+    columns read as columns.
+
+    Returns (alpha_up, alpha_down, bias, iterations, converged, final_gap)
+    where the gap is the worst KKT bound mismatch b_lo - b_hi.
+    """
+    n = len(y)
+    if start is None:
+        a_up, a_dn, u, it = np.zeros(n), np.zeros(n), np.zeros(n), 0  # u = K @ (a_up - a_dn)
+    else:
+        a_up, a_dn, u = (np.array(v, dtype=np.float64) for v in start[:3])
+        it = int(start[3])
+    neg_inf = -np.inf
+    while True:
+        r = y - u
+        v_up = r - eps
+        v_dn = r + eps
+        # b must satisfy: b >= v_up where a_up < C, b >= v_dn where a_dn > 0,
+        #                 b <= v_up where a_up > 0, b <= v_dn where a_dn < C.
+        lo_up = np.where(a_up < c, v_up, neg_inf)
+        lo_dn = np.where(a_dn > 0.0, v_dn, neg_inf)
+        hi_up = np.where(a_up > 0.0, v_up, -neg_inf)
+        hi_dn = np.where(a_dn < c, v_dn, -neg_inf)
+        iu, idn = int(np.argmax(lo_up)), int(np.argmax(lo_dn))
+        ju, jdn = int(np.argmin(hi_up)), int(np.argmin(hi_dn))
+        if lo_up[iu] >= lo_dn[idn]:
+            i_slot, i_val, b_lo = ("up", iu, lo_up[iu])
+        else:
+            i_slot, i_val, b_lo = ("dn", idn, lo_dn[idn])
+        if hi_up[ju] <= hi_dn[jdn]:
+            j_slot, j_val, b_hi = ("up", ju, hi_up[ju])
+        else:
+            j_slot, j_val, b_hi = ("dn", jdn, hi_dn[jdn])
+        gap = b_lo - b_hi
+        if gap <= tol:
+            return a_up, a_dn, float((b_lo + b_hi) / 2.0), it, True, float(gap)
+        if it >= max_iter:
+            return a_up, a_dn, float((b_lo + b_hi) / 2.0), it, False, float(gap)
+
+        k, m = i_val, j_val
+        eta = k_mat[k, k] + k_mat[m, m] - 2.0 * k_mat[k, m]
+        cap_i = (c - a_up[k]) if i_slot == "up" else a_dn[k]
+        cap_j = a_up[m] if j_slot == "up" else (c - a_dn[m])
+        step = gap / eta if eta > 1e-12 else math.inf
+        lam = min(step, cap_i, cap_j)
+
+        if i_slot == "up":
+            a_up[k] = c if lam >= cap_i else a_up[k] + lam
+        else:
+            a_dn[k] = 0.0 if lam >= cap_i else a_dn[k] - lam
+        if j_slot == "up":
+            a_up[m] = 0.0 if lam >= cap_j else a_up[m] - lam
+        else:
+            a_dn[m] = c if lam >= cap_j else a_dn[m] + lam
+
+        if k != m:
+            u += lam * (k_mat[:, k] - k_mat[:, m])
+        it += 1
+        if it % 4096 == 0:  # regression._REFRESH_EVERY
+            u = k_mat @ (a_up - a_dn)  # shed accumulated rounding
 
 
 def project_box_hyperplane(v: np.ndarray, d: np.ndarray, c: float) -> np.ndarray:

@@ -178,6 +178,15 @@ class TestNanSettings:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--complexity", "inf", "complexity_c must be > 0 and finite"),
+        ("--grid-c", "inf,0.1", "complexity_c must be > 0 and finite"),
+        ("--epsilon", "inf", "epsilon must be >= 0 and finite"),
+        ("--tolerance", "inf", "tolerance must be > 0 and finite"),
+    ])
+    def test_non_finite_solver_setting_exits_3(self, tmp_path, capsys, flag, value, message):
+        self._check_exits_3(tmp_path, capsys, "train", flag, value, message)
+
     def test_max_steps_below_one_exits_3(self, tmp_path, capsys):
         self._check_exits_3(tmp_path, capsys, "select", "--max-steps", "-1", "max_steps must be None or >= 1")
 
