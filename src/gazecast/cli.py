@@ -29,6 +29,7 @@ from .ingest import (
     DEFAULT_CLOSURE_THRESHOLD,
     DIMENSIONS,
     SynthesisSpec,
+    _CsvText,
     csv_rows,
     parse_annotation_csv,
     parse_gaze_csv,
@@ -82,22 +83,31 @@ def _read_text(path: str | Path) -> str:
         raise SchemaError(f"{path}: {e}") from None
 
 
-def feature_csv_text(spans: np.ndarray, matrix: np.ndarray) -> str:
-    lines = [",".join(FEATURE_CSV_HEADER)]
-    for (start, end), row in zip(spans, matrix):
-        lines.append(",".join([repr(float(start)), repr(float(end))] + [repr(float(v)) for v in row]))
+def _float_csv_text(header: str, rows: np.ndarray) -> str:
+    """*header* and one line per row of *rows*, each value as repr(float)."""
+    lines = [header]
+    lines.extend(",".join(map(repr, row)) for row in rows.tolist())
     return "\n".join(lines) + "\n"
+
+
+def feature_csv_text(spans: np.ndarray, matrix: np.ndarray) -> str:
+    # column_stack, not hstack: a recording without windows has a (0,) matrix.
+    return _float_csv_text(",".join(FEATURE_CSV_HEADER), np.column_stack([spans, matrix]))
 
 
 def read_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature CSV back into (spans (k,2), features (k,31))."""
     with open(path, "r", encoding="utf-8", newline="") as f:
-        records = csv_rows(f)
+        text = _CsvText(f)
+        records = csv_rows(text)
         _, header = next(records, (0, None))
         if header is None:
             raise SchemaError(f"{path}: empty feature CSV")
         if header != FEATURE_CSV_HEADER:
             raise SchemaError(f"{path}: feature CSV header does not match the canonical 31-feature layout")
+        table = text.table(text.taken, len(FEATURE_CSV_HEADER))
+        if table is not None and np.all(np.isfinite(table)):
+            return np.ascontiguousarray(table[:, :2]), np.ascontiguousarray(table[:, 2:])
         spans, rows = [], []
         for row_no, row in records:
             if len(row) != len(FEATURE_CSV_HEADER):
@@ -116,10 +126,7 @@ def read_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def predictions_csv_text(spans: np.ndarray, pred: np.ndarray) -> str:
-    lines = ["window_start_ms,window_end_ms,prediction"]
-    for (start, end), p in zip(spans, pred):
-        lines.append(f"{float(start)!r},{float(end)!r},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+    return _float_csv_text("window_start_ms,window_end_ms,prediction", np.column_stack([spans, pred]))
 
 
 # --- shared flag groups ------------------------------------------------------

@@ -250,25 +250,31 @@ def band_psd(series, rate_hz: float, config: FeatureConfig = FeatureConfig()) ->
         raise ValidationError("rate_hz must be > 0")
     n = x.shape[1]
     n_pad = max(n, int(math.ceil(rate_hz / config.psd_pad_resolution_hz)))
-    freqs = np.arange(n_pad // 2 + 1) * (rate_hz / n_pad)
-    scale = rate_hz if config.psd_mode == "normalized" else 1.0
-    bands = []  # [a, b) bin range each band averages; a single bin is a range of one
-    for target in PSD_SINGLE_BINS_HZ:
-        k = int(np.argmin(np.abs(freqs - target * scale)))
-        bands.append((k, k + 1))
-    for lo, hi in PSD_BAND_RANGES_HZ:
-        inside = np.flatnonzero((freqs >= lo * scale) & (freqs <= hi * scale))
-        if len(inside):
-            bands.append((int(inside[0]), int(inside[-1]) + 1))
-        else:
-            k = int(np.argmin(np.abs(freqs - 0.5 * (lo + hi) * scale)))
+    try:  # the frequency grid and the spectra grow with n_pad
+        freqs = np.arange(n_pad // 2 + 1) * (rate_hz / n_pad)
+        scale = rate_hz if config.psd_mode == "normalized" else 1.0
+        bands = []  # [a, b) bin range each band averages; a single bin is a range of one
+        for target in PSD_SINGLE_BINS_HZ:
+            k = int(np.argmin(np.abs(freqs - target * scale)))
             bands.append((k, k + 1))
+        for lo, hi in PSD_BAND_RANGES_HZ:
+            inside = np.flatnonzero((freqs >= lo * scale) & (freqs <= hi * scale))
+            if len(inside):
+                bands.append((int(inside[0]), int(inside[-1]) + 1))
+            else:
+                k = int(np.argmin(np.abs(freqs - 0.5 * (lo + hi) * scale)))
+                bands.append((k, k + 1))
 
-    const = np.all(x == x[:, :1], axis=1)
-    center = x[:, 0].copy()  # constant -> exactly zero signal
-    center[~const] = np.mean(x[~const], axis=1)
-    k0, k1 = min(a for a, _ in bands), max(b for _, b in bands)
-    spec = np.fft.rfft(x - center[:, None], n=n_pad, axis=1)[:, k0:k1]
+        const = np.all(x == x[:, :1], axis=1)
+        center = x[:, 0].copy()  # constant -> exactly zero signal
+        center[~const] = np.mean(x[~const], axis=1)
+        k0, k1 = min(a for a, _ in bands), max(b for _, b in bands)
+        spec = np.fft.rfft(x - center[:, None], n=n_pad, axis=1)[:, k0:k1]
+    except MemoryError:
+        raise ValidationError(
+            f"psd_pad_resolution_hz {config.psd_pad_resolution_hz:g} needs {n_pad}-point periodograms, "
+            "too large to allocate"
+        ) from None
     power = (spec.real**2 + spec.imag**2) / n
     # Column slices, not a column mask: masking columns yields a column-major
     # copy, whose rows NumPy sums in another order than a 1-d mean.

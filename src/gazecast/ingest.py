@@ -12,6 +12,14 @@ and the first record that does not fit the schema wins (SchemaError, exit
 2). Only then are value rules checked (ValidationError, exit 3): each lives
 once, in the record type's ``__post_init__``, and names the first bad data
 row. "Data row N" is the N-th non-blank record after the header.
+
+A CSV file is read once, into its lines. The body then takes a fast path:
+one ``np.loadtxt`` over every column, and vector checks for the per-cell
+rules. Where loadtxt and the csv module could read the text differently,
+or a check fails, the parser runs its row-wise loop (``csv_rows`` and
+``float()``) over the same lines from the top of the file instead. That
+loop is the judge: a file is accepted with the arrays it would give, or
+refused with its message and row.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -132,8 +140,8 @@ class ValidationReport:
     issues: tuple[str, ...] = ()
 
 
-def csv_rows(stream: TextIO) -> Iterator[tuple[int, list[str]]]:
-    """Yield (row, cells) for each non-blank CSV record of *stream*, numbered from 0.
+def csv_rows(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (row, cells) for each non-blank CSV record of *stream*'s lines, numbered from 0.
 
     With a header record first, a record's number is its 1-based data row.
     Text the csv module cannot read (a field over its size limit, a bare
@@ -150,6 +158,60 @@ def csv_rows(stream: TextIO) -> Iterator[tuple[int, list[str]]]:
         # no line break left, so the failed chunk starts inside the next line.
         line = reader.line_num + 1 + len(re.findall(rb"\r\n?|\n", e.object[: e.start]))
         raise SchemaError(f"line {line}: text is not {e.encoding}: {e.reason}") from None
+
+
+# Characters that loadtxt strips from a cell as whitespace but float() refuses.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+class _CsvText:
+    """The lines of a CSV stream, read once, and its body as one float table.
+
+    Iterating replays the lines from the top, then raises the decode fault
+    that ended the read, if any. So csv_rows over it numbers lines and data
+    rows, and meets each fault, exactly as it would over the stream.
+    """
+
+    def __init__(self, stream: TextIO):
+        self.lines: list[str] = []
+        self.fault: UnicodeDecodeError | None = None
+        self.taken = 0  # lines handed out by the latest iteration
+        try:
+            self.lines.extend(stream)  # keeps the lines read before a fault
+        except UnicodeDecodeError as e:
+            self.fault = e
+
+    def __iter__(self) -> Iterator[str]:
+        self.taken = 0
+        for line in self.lines:
+            self.taken += 1
+            yield line
+        if self.fault is not None:
+            raise self.fault
+
+    def table(self, start: int, width: int) -> np.ndarray | None:
+        """The lines from *start* on as a (rows, *width*) float table, or None.
+
+        None means that only the row-wise loop may judge those lines: the
+        text has a decode fault, no line longer than a line break, a line
+        longer than the csv module's field limit, or a character loadtxt
+        reads as whitespace but float() refuses; or loadtxt refused it, or
+        found another number of columns. Blank lines are skipped, as
+        csv_rows skips them, so table row i is data row i + 1 past *start*.
+        """
+        body = self.lines[start:]
+        if self.fault is not None or not body:
+            return None
+        # A body of line breaks alone would make loadtxt warn that it holds no data.
+        if not 2 < max(map(len, body)) <= csv.field_size_limit():
+            return None
+        if any(map("".join(body).__contains__, _LOADTXT_ONLY_SPACE)):  # joined once, freed before loadtxt
+            return None
+        try:
+            table = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        return table if table.shape[1] == width else None
 
 
 def _parse_float(cell: str, row: int, column: str) -> float:
@@ -181,7 +243,8 @@ def parse_gaze_csv(
     """
     if not (closure_threshold >= 0):
         raise ValidationError("closure_threshold must be >= 0")
-    rows = csv_rows(stream)
+    text = _CsvText(stream)
+    rows = csv_rows(text)
     _, header = next(rows, (0, None))
     if header is None:
         raise SchemaError("gaze CSV is empty (header row required)")
@@ -196,7 +259,37 @@ def parse_gaze_csv(
         eye_name = "eyelid_aperture"
     else:
         raise SchemaError("gaze CSV missing required column(s): eye_closed (or eyelid_aperture)")
+    used = [col[c] for c in GAZE_COLUMNS] + [col[eye_name]]
 
+    columns = None
+    table = text.table(text.taken, len(header))
+    if table is not None:
+        frames, eyes = table[:, used[0]], table[:, used[-1]]
+        # The row-wise rules as vector checks; NaN fails every comparison.
+        if np.all((frames >= -(2.0**63)) & (frames < 2.0**63)) and (
+            eye_name != "eye_closed" or np.all((eyes == 0.0) | (eyes == 1.0))
+        ):
+            columns = [frames.astype(np.int64), *(table[:, i] for i in used[1:])]  # astype truncates like int()
+    if columns is None:
+        columns = _gaze_rows(rows, col, eye_name)
+    frames, ts, xs, ys, dists, eyes = columns
+    if eye_name == "eyelid_aperture":
+        # The record keeps only the closed/open flag, so this rule is checked here.
+        _check_rows(eyes < 0, "eyelid_aperture must be >= 0")
+        eyes = eyes <= closure_threshold
+    return GazeSequence(
+        frame_index=frames,
+        timestamp_ms=ts,
+        gaze_x=xs,
+        gaze_y=ys,
+        screen_distance_mm=dists,
+        eye_closed=eyes,
+        source_id=source_id,
+    )
+
+
+def _gaze_rows(rows: Iterator[tuple[int, list[str]]], col: dict[str, int], eye_name: str) -> list[np.ndarray]:
+    """The row-wise gaze loop: frame, timestamp, x, y, distance and eye columns, parsed cell by cell."""
     frames, ts, xs, ys, dists, eyes = [], [], [], [], [], []
     eye_col = col[eye_name]
     width = max(col[c] for c in GAZE_COLUMNS) + 1
@@ -213,20 +306,7 @@ def parse_gaze_csv(
         if eye_name == "eye_closed" and eye not in (0.0, 1.0):
             raise SchemaError(f"data row {row_no}: eye_closed must be 0 or 1, got {row[eye_col]!r}")
         eyes.append(eye)
-    eyes = np.array(eyes)
-    if eye_name == "eyelid_aperture":
-        # The record keeps only the closed/open flag, so this rule is checked here.
-        _check_rows(eyes < 0, "eyelid_aperture must be >= 0")
-        eyes = eyes <= closure_threshold
-    return GazeSequence(
-        frame_index=np.array(frames),
-        timestamp_ms=np.array(ts),
-        gaze_x=np.array(xs),
-        gaze_y=np.array(ys),
-        screen_distance_mm=np.array(dists),
-        eye_closed=eyes,
-        source_id=source_id,
-    )
+    return [np.array(frames, dtype=np.int64), *map(np.array, (ts, xs, ys, dists, eyes))]
 
 
 def parse_annotation_csv(stream: TextIO, dimension: str) -> AnnotationTrack:
@@ -236,9 +316,21 @@ def parse_annotation_csv(stream: TextIO, dimension: str) -> AnnotationTrack:
     not parse as a number is treated as a header. Any later non-numeric row
     is a :class:`SchemaError` naming its data row.
     """
+    text = _CsvText(stream)
+    _, first = next(csv_rows(text), (0, None))
+    if first is not None and len(first) >= 2:
+        try:
+            float(first[0])
+        except ValueError:  # a header line
+            table = text.table(text.taken, len(first))
+        else:  # no header: the first record is data row 1
+            table = text.table(0, len(first))
+        if table is not None:
+            return AnnotationTrack(table[:, 0], table[:, 1], dimension)
+
     ts, values = [], []
     shift = 1  # without a header, record 0 is data row 1
-    for row_no, raw in csv_rows(stream):
+    for row_no, raw in csv_rows(text):
         if row_no == 0:
             try:
                 float(raw[0])
@@ -411,20 +503,23 @@ def synthesize_sequence(spec: SynthesisSpec, seed: int) -> GazeSequence:
     n = int(round(spec.duration_s * spec.rate_hz))
     if n < 2:
         raise ValidationError(f"spec yields {n} samples; at least 2 required")
-    t_s = np.arange(n) / spec.rate_hz
-    t_ms = t_s * 1000.0
-    xs = _render_channel(spec.gaze_x, t_s, seed, 0)
-    ys = _render_channel(spec.gaze_y, t_s, seed, 1)
-    dist = _render_channel(spec.distance_mm, t_s, seed, 2)
-    closed = np.zeros(n, dtype=bool)
-    for start, end in spec.blinks_ms:
-        closed |= (t_ms >= start) & (t_ms < end)
-    return GazeSequence(
-        frame_index=np.arange(n),
-        timestamp_ms=t_ms,
-        gaze_x=xs,
-        gaze_y=ys,
-        screen_distance_mm=dist,
-        eye_closed=closed,
-        source_id=spec.source_id,
-    )
+    try:
+        t_s = np.arange(n) / spec.rate_hz
+        t_ms = t_s * 1000.0
+        xs = _render_channel(spec.gaze_x, t_s, seed, 0)
+        ys = _render_channel(spec.gaze_y, t_s, seed, 1)
+        dist = _render_channel(spec.distance_mm, t_s, seed, 2)
+        closed = np.zeros(n, dtype=bool)
+        for start, end in spec.blinks_ms:
+            closed |= (t_ms >= start) & (t_ms < end)
+        return GazeSequence(
+            frame_index=np.arange(n),
+            timestamp_ms=t_ms,
+            gaze_x=xs,
+            gaze_y=ys,
+            screen_distance_mm=dist,
+            eye_closed=closed,
+            source_id=spec.source_id,
+        )
+    except MemoryError:
+        raise ValidationError(f"duration_s * rate_hz gives {n} samples, too many to allocate") from None

@@ -2,14 +2,17 @@
 
 Everything here deliberately avoids the library's own code paths: loops
 instead of vectorized run-length tricks, explicit DFT sums instead of FFT,
-scipy reference statistics instead of hand-rolled moments, an
+exact rational skewness and scipy statistics instead of hand-rolled moments, an
 accelerated projected-gradient QP solver instead of SMO, and the SMO
 loop in its plain two-array form.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import scipy.stats
@@ -20,24 +23,39 @@ from gazecast.errors import ValidationError
 # --- reference statistics ----------------------------------------------------
 
 
+def exact_skewness(series) -> float:
+    """Population-moment skewness m3 / m2**1.5, in exact rational arithmetic rounded once at the end.
+
+    Float moments (scipy.stats.skew) lose digits when the spread is small
+    against the mean: on [-655741.3607610182, -655547.0, -655493.0] scipy is
+    off by 1.1e-12, while the exact value rounds to -0.573600875617236.
+    """
+    x = [Fraction(float(v)) for v in series]
+    mean = sum(x) / len(x)
+    d = [v - mean for v in x]
+    m2 = sum(v * v for v in d) / len(x)
+    m3 = sum(v * v * v for v in d) / len(x)
+    if m2 == 0:
+        return 0.0
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        m2_dec = Decimal(m2.numerator) / Decimal(m2.denominator)
+        return float(Decimal(m3.numerator) / Decimal(m3.denominator) / (m2_dec * m2_dec.sqrt()))
+
+
 def reference_stats(series):
-    """(mean, sample std, population-moment skewness, q2-q1, q3-q2) via scipy/numpy.
+    """(mean, sample std, population-moment skewness, q2-q1, q3-q2) via numpy and exact skewness.
 
     Applies the library's documented degenerate convention: a constant series
-    yields (x[0], 0, 0, 0, 0). Skewness is scale-free, so it is taken on the
-    series rescaled by an exact power of two (max|x| in [0.5, 1)); otherwise
-    the moments of tiny inputs underflow and scipy returns nan.
+    yields (x[0], 0, 0, 0, 0).
     """
     x = np.asarray(series, dtype=np.float64)
     if np.all(x == x[0]):
         return float(x[0]), 0.0, 0.0, 0.0, 0.0
     mean = float(np.mean(x))
     std = float(np.std(x, ddof=1))
-    xs = np.ldexp(x, -math.frexp(float(np.max(np.abs(x))))[1])
-    m2 = float(np.mean((xs - np.mean(xs)) ** 2))
-    skew = 0.0 if m2 == 0.0 else float(scipy.stats.skew(xs, bias=True))
     q1, q2, q3 = (float(np.quantile(x, q, method="linear")) for q in (0.25, 0.5, 0.75))
-    return mean, std, skew, q2 - q1, q3 - q2
+    return mean, std, exact_skewness(x), q2 - q1, q3 - q2
 
 
 def pearson_oracle(a, b) -> float:

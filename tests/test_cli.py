@@ -9,7 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gazecast.cli import FEATURE_CSV_HEADER, _write_text_atomic, feature_csv_text, main, read_feature_csv
+from gazecast.cli import (
+    FEATURE_CSV_HEADER,
+    _write_text_atomic,
+    feature_csv_text,
+    main,
+    predictions_csv_text,
+    read_feature_csv,
+)
 from gazecast.features import FEATURE_NAMES
 from gazecast.regression import SvrConfig, SvrModel, model_to_text
 from gazecast.evaluation import grid_search_c
@@ -146,6 +153,75 @@ class TestExtract:
         assert run("extract", "--gaze", bad, "--out", tmp_path / "f.csv") == 2
         err = capsys.readouterr().err
         assert message in err and "line 4" in err
+
+
+class TestSizesTooLargeToAllocate:
+    """A setting that asks for PiB-scale arrays exits 3 naming it; NumPy refuses such sizes before touching memory."""
+
+    def test_synth_spec(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"duration_s": 1e12, "rate_hz": 1000}), encoding="utf-8")
+        assert run("synth", "--spec", spec, "--out", tmp_path / "g.csv") == 3
+        assert "duration_s * rate_hz gives 1000000000000000 samples, too many to allocate" in capsys.readouterr().err
+
+    def test_psd_resolution(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run("extract", "--gaze", FIXTURES / "golden_gaze.csv", "--out", out, "--psd-resolution-hz", "1e-15") == 3
+        assert "psd_pad_resolution_hz 1e-15 needs" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _feature_csv_text_loop(spans, matrix) -> str:
+    """The per-value writer loop that feature_csv_text replaced."""
+    lines = [",".join(FEATURE_CSV_HEADER)]
+    for (start, end), row in zip(spans, matrix):
+        lines.append(",".join([repr(float(start)), repr(float(end))] + [repr(float(v)) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+def _predictions_csv_text_loop(spans, pred) -> str:
+    """The per-value writer loop that predictions_csv_text replaced."""
+    lines = ["window_start_ms,window_end_ms,prediction"]
+    for (start, end), p in zip(spans, pred):
+        lines.append(f"{float(start)!r},{float(end)!r},{float(p)!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestWriterBytes:
+    """The table writers give the bytes of the per-value loops they replaced."""
+
+    VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308, 1.7976931348623157e308,
+              3.0, -42.0, 2.0**53, 0.1, 1 / 3, -2.5e-7, 123456789.125]
+
+    def _spans_and_matrix(self, rows: int):
+        rng = np.random.default_rng(rows)
+        matrix = rng.choice(self.VALUES, size=(rows, 31)) * rng.choice([1.0, -1.0], size=(rows, 31))
+        spans = np.column_stack([np.arange(rows) * 2000.0, np.arange(rows) * 2000.0 + 3000.0])
+        spans[rows // 2 :] = rng.choice(self.VALUES, size=(rows - rows // 2, 2))
+        return spans, matrix
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 40])
+    def test_feature_csv_text(self, rows):
+        spans, matrix = self._spans_and_matrix(rows)
+        assert feature_csv_text(spans, matrix).encode() == _feature_csv_text_loop(spans, matrix).encode()
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, 40])
+    def test_predictions_csv_text(self, rows):
+        spans, matrix = self._spans_and_matrix(rows)
+        pred = matrix[:, 0]
+        assert predictions_csv_text(spans, pred).encode() == _predictions_csv_text_loop(spans, pred).encode()
+
+    @pytest.mark.parametrize("matrix", [np.empty((0, 31)), np.array([])], ids=["0x31", "extract_matrix_empty"])
+    def test_no_rows(self, matrix):
+        spans = np.empty((0, 2))
+        assert feature_csv_text(spans, matrix) == _feature_csv_text_loop(spans, matrix) == ",".join(FEATURE_CSV_HEADER) + "\n"
+        assert predictions_csv_text(spans, np.array([])) == _predictions_csv_text_loop(spans, [])
+
+    def test_values_cover_the_edges(self):
+        values = np.array(self.VALUES)
+        assert np.any(np.signbit(values) & (values == 0.0))
+        assert np.any((values != 0.0) & (np.abs(values) < np.finfo(float).tiny))  # subnormal
+        assert np.any(np.abs(values) >= 1e308) and np.any(values == np.round(values))
 
 
 class TestNanSettings:

@@ -1,6 +1,10 @@
 """The public surface of ``gazecast``: a new or removed export shows up as a diff of this test."""
 
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import gazecast
 
@@ -30,3 +34,20 @@ def test_exported_names_are_exactly_the_public_surface():
     }
     assert len(PUBLIC_NAMES) == 39
     assert exported == PUBLIC_NAMES
+
+
+def test_cli_import_loads_only_gazecast_and_the_standard_library():
+    """Starting the CLI loads no third-party module beyond numpy (guards the benchmark's setup_s)."""
+    code = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import gazecast.cli\n"
+        "gazecast.cli.build_parser()\n"
+        "roots = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(r for r in roots if r != 'gazecast' and r not in sys.stdlib_module_names))\n"
+    )
+    src = str(Path(gazecast.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
