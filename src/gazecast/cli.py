@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import json
 import logging
 import math
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import replace
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -53,8 +54,10 @@ DEFAULT_COMPLEXITY = {"valence": 0.0325, "arousal": 0.091}
 FEATURE_CSV_HEADER = ["window_start_ms", "window_end_ms", *FEATURE_NAMES]
 
 
-def _write_text_atomic(path: str | Path, text: str) -> None:
+def _write_text_atomic(path: str | Path, text: str | Callable[[TextIO], object]) -> None:
     """Write *text* to a temp file unique to this call in *path*'s directory, then rename it onto *path*.
+
+    *text* is the text, or a function that writes it to the open file.
 
     Concurrent writers never share a temp file, and the temp file is removed
     if the write or the rename fails. It is created like a plain open()
@@ -66,7 +69,10 @@ def _write_text_atomic(path: str | Path, text: str) -> None:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with open(fd, "w", encoding="utf-8") as f:
-                f.write(text)
+                if callable(text):
+                    text(f)
+                else:
+                    f.write(text)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -91,7 +97,6 @@ def _float_csv_text(header: str, rows: np.ndarray) -> str:
 
 
 def feature_csv_text(spans: np.ndarray, matrix: np.ndarray) -> str:
-    # column_stack, not hstack: a recording without windows has a (0,) matrix.
     return _float_csv_text(",".join(FEATURE_CSV_HEADER), np.column_stack([spans, matrix]))
 
 
@@ -271,9 +276,7 @@ def _load_training_set(args, dimension: str) -> tuple[TrainingSet, int]:
 def cmd_synth(args) -> int:
     spec = SynthesisSpec.from_json(_read_text(args.spec))
     seq = synthesize_sequence(spec, args.seed)
-    buf = io.StringIO()
-    write_gaze_csv(seq, buf)
-    _write_text_atomic(args.out, buf.getvalue())
+    _write_text_atomic(args.out, lambda f: write_gaze_csv(seq, f))
     logger.info("wrote %d samples to %s", len(seq), args.out)
     return 0
 

@@ -9,24 +9,20 @@ rather than erroring, and are counted in the reports.
 
 One routine, :func:`cross_val_cc`, cross-validates: it takes a list of
 column subsets (all the candidates of a wrapper step, or the one matrix of a
-C-grid point) and folds drawn once by :func:`kfold_split`, and runs the
-solver of every subset x fold fit through the lock-step pool of
-:func:`regression._smo_lockstep`. The fits are then finished through
-fit_linear_svr and scored in (subset, fold) order, so the scores, the
-degenerate-fold counts and the first ConvergenceError are bit for bit those
-of fitting one subset and fold after another.
+C-grid point) and folds drawn once by :func:`kfold_split`, and fits and
+scores one subset and fold after another through fit_linear_svr, so the
+first ConvergenceError is that of the first fit in (subset, fold) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateDataError, ValidationError
 from .features import FEATURE_NAMES
-from .regression import SmoState, SvrConfig, TrainingSet, _smo_lockstep, fit_linear_svr, predict_matrix
+from .regression import SvrConfig, TrainingSet, fit_linear_svr, predict_matrix
 
 WORST_CC = -1.0
 
@@ -70,44 +66,18 @@ def cross_val_cc(
     A fold scores its held-out Pearson CC, or WORST_CC (and is counted as
     degenerate) where the learner's predictions or the targets are constant.
 
-    The solver runs of all len(xs) * len(folds) fits go through
-    :func:`regression._smo_lockstep`, one pool per training-row count. Each
-    fit is then finished by fit_linear_svr in (matrix, fold) order, so the
-    models, the scores and the first error raised are those of a loop over
-    matrices and folds.
+    The fits run in (matrix, fold) order, so the first error raised is that
+    of the first failing fit in that order.
     """
-    n, k = len(y), len(folds)
-    masks = []
-    for fold in folds:
-        mask = np.ones(n, dtype=bool)
-        mask[fold] = False
-        masks.append(mask)
-
-    def train(i: int) -> tuple[np.ndarray, np.ndarray]:
-        mask = masks[i % k]
-        return xs[i // k][mask], y[mask]
-
-    by_rows: dict[int, list[int]] = {}
-    for i in range(len(xs) * k):
-        by_rows.setdefault(int(np.count_nonzero(masks[i % k])), []).append(i)
-    # Fits are finished in order, so the states of a pool that runs ahead of
-    # the next fit due are held until then: run the smaller pools first.
-    stopped = (
-        (group[j], state)
-        for rows, group in sorted(by_rows.items(), key=lambda item: len(item[1]))
-        for j, state in _smo_lockstep([partial(train, i) for i in group], rows, config)
-    )
-    states: dict[int, SmoState | None] = {}
+    n = len(y)
     results = []
-    for c, x in enumerate(xs):
+    for x in xs:
         scores: list[float] = []
         degenerate = 0
-        for f, fold in enumerate(folds):
-            i = c * k + f
-            while i not in states:
-                j, state = next(stopped)
-                states[j] = state
-            model = fit_linear_svr(*train(i), config, start=states.pop(i))
+        for fold in folds:
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            model = fit_linear_svr(x[mask], y[mask], config)
             pred = predict_matrix(model, x[fold])
             try:
                 scores.append(pearson_cc(pred, y[fold]))

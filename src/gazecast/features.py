@@ -403,8 +403,6 @@ def extract_matrix(windows: Windows, config: FeatureConfig = FeatureConfig()) ->
     in chunks of _CHUNK_WINDOWS (W, n) arrays, in ascending window order.
     """
     seq, lo, hi = windows.seq, windows.lo, windows.hi
-    if len(lo) == 0:
-        return np.array([])
     n_samples = hi - lo
     bad_sample = ~(np.isfinite(seq.gaze_x) & np.isfinite(seq.gaze_y) & np.isfinite(seq.screen_distance_mm))
     nonfinite = np.concatenate(([0], np.cumsum(bad_sample)))  # non-finite samples before each index

@@ -11,37 +11,22 @@ columns get a sentinel std of 1), so the complexity parameter C and the tube
 half-width epsilon both live in standardized space; returned weights and
 bias are collapsed back to original units.
 
+The one solver, :func:`_smo_solve`, takes tens of thousands of updates for a
+fit of a few hundred rows, so the cost of one update sets the cost of a fit;
+its docstring gives the bookkeeping that keeps an update to nine NumPy calls
+and otherwise to Python floats. A run can be resumed from any state
+(alpha_up, alpha_down, u = K @ (alpha_up - alpha_down), updates) it stood in;
+a fresh fit starts from the zero state.
+
 :func:`fit_linear_svr` is the one fit entry point, on raw (x, y) arrays;
 :func:`model_to_text` and :func:`model_from_text` are the one model file
 writer and reader.
-
-The solver can be resumed. Its state is (alpha_up, alpha_down, u =
-K @ (alpha_up - alpha_down), updates), a fresh fit starts from the zero
-state, and ``fit_linear_svr(..., start=state)`` finishes a fit from any state
-the loop stood in. :func:`_smo_lockstep` runs many fits of one row count in
-lock step: a pool of slots, as many as a budget of _LOCKSTEP_GRAM_BYTES for
-their stacked Gram matrices allows (28 at 135 rows), holds the running fits
-as rows of 2-d arrays, and a slot whose fit stops takes the next one. Each
-stopped fit, and each of the last few, is handed to that resume. A
-lock-step update repeats the scalar loop's operations in its order and with
-its ties, so multipliers, bias, update count and KKT gap are bit-identical to
-those of the fit run alone. Fits too large for more than a few slots (about
-540 rows and up) never enter a pool.
-
-Both loops hold a fit's 2n multiplier slots as one ``[alpha_up |
-alpha_down]`` array, so that the first extreme over it prefers the up slot
-on ties, then the lowest index, and both read Gram rows where columns are
-meant, which is exact because ``z @ z.T`` equals its transpose bit for bit.
-:func:`_smo_solve` picks its pair with one min, one max, one argmax and one
-argmin over preallocated buffers.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import mmap
-from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,15 +44,6 @@ SmoState = tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 # u is recomputed from the multipliers every this many updates, shedding drift.
 _REFRESH_EVERY = 4096
-# Bytes the lock-step pool's stacked Gram matrices may take: 28 slots at 135
-# training rows, one at 540. Size it by the Gram alone; the pool's other
-# arrays are O(slots * rows).
-_LOCKSTEP_GRAM_BYTES = 4 << 20
-# The lock-step pool hands its last fits to the scalar loop once no more than
-# this many are left: a lock-step iteration over a few rows costs about as
-# much as that many scalar updates. A pool of no more slots than this is
-# never built.
-_SCALAR_TAIL = 3
 
 
 @dataclass(frozen=True)
@@ -223,20 +199,26 @@ def _smo_solve(
 
     Returns (alpha_up, alpha_down, bias, iterations, converged, final_gap)
     where the gap is the worst KKT bound mismatch b_lo - b_hi. Resuming a
-    state that an earlier run of this loop (or of :func:`_smo_lockstep`)
-    stopped in gives the iterates that run would have gone on to.
+    state that an earlier run stopped in gives the iterates that run would
+    have gone on to. The multipliers of *start* must lie in [0, C].
 
-    The 2n multiplier slots live in one array ``alpha = [alpha_up |
-    alpha_down]`` beside v = [r - eps | r + eps], r = y - u. The bias must
-    satisfy b >= v on the lower set (alpha_up < C, alpha_down > 0) and
-    b <= v on the upper set (alpha_up > 0, alpha_down < C). lo_cap is +inf
-    on the lower set and -inf elsewhere, hi_cap -inf on the upper set and
-    +inf elsewhere, so ``min(v, lo_cap)`` and ``max(v, hi_cap)`` are v inside
-    the set and -inf or +inf outside it: exactly the masked copies for
-    finite v, -0.0 included (SvrConfig refuses non-finite settings). The
-    first argmax of one and the first argmin of the other are the pair, up
-    slot before down slot on ties, then the lowest index. An update moves
-    two slots, so only their caps are rewritten.
+    The 2n multiplier slots live in one Python list ``alpha = [alpha_up |
+    alpha_down]`` of floats beside the array v = [r - eps | r + eps],
+    r = y - u, formed as ``[r | r] - [eps | -eps]`` (x - (-eps) rounds
+    exactly like x + eps). The bias must satisfy b >= v on the lower set
+    (alpha_up < C, alpha_down > 0) and b <= v on the upper set (alpha_up > 0,
+    alpha_down < C). lo_cap is +inf on the lower set and -inf elsewhere,
+    hi_cap -inf on the upper set and +inf elsewhere, so ``min(v, lo_cap)``
+    and ``max(v, hi_cap)`` are v inside the set and -inf or +inf outside it:
+    exactly the masked copies for finite v, -0.0 included (SvrConfig refuses
+    non-finite settings). The first argmax of one and the first argmin of
+    the other are the pair, up slot before down slot on ties, then the
+    lowest index. An update moves two slots; a slot's caps change only when
+    its move leaves 0 or C or reaches it, and only then are they rewritten.
+    Gram entries are read as Python floats, the multipliers are turned back
+    into an array only at a refresh of u and at return, and an update makes
+    nine NumPy calls; outputs are passed positionally and the step as a 0-d
+    array, which spares each call a keyword parse or a float conversion.
 
     An update reads Gram rows, which are contiguous, where the pair's
     columns are meant: ``z @ z.T`` is computed by a symmetric rank-k update
@@ -250,194 +232,76 @@ def _smo_solve(
     else:
         alpha = np.concatenate([np.asarray(a, dtype=np.float64) for a in start[:2]])
         u, it = np.array(start[2], dtype=np.float64), int(start[3])
-    a_up, a_dn = alpha[:n], alpha[n:]
     inf = math.inf
-    lo_cap = np.where(np.concatenate([a_up < c, a_dn > 0.0]), inf, -inf)
-    hi_cap = np.where(np.concatenate([a_up > 0.0, a_dn < c]), -inf, inf)
-    r, du = np.empty(n), np.empty(n)
-    v, lo, hi = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
-    v_up, v_dn = v[:n], v[n:]
+    lo_cap = np.where(np.concatenate([alpha[:n] < c, alpha[n:] > 0.0]), inf, -inf)
+    hi_cap = np.where(np.concatenate([alpha[:n] > 0.0, alpha[n:] < c]), -inf, inf)
+    alpha = alpha.tolist()
+    diag, rows = k_mat.diagonal().tolist(), list(k_mat)
+    shift = np.concatenate([np.full(n, eps), np.full(n, -eps)])
+    v, lo, hi, du = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n), np.empty(n)
+    v_pair, lam_0d = v.reshape(2, n), np.zeros(())
+    refresh_at = (it // _REFRESH_EVERY + 1) * _REFRESH_EVERY
     while True:
-        np.subtract(y, u, out=r)
-        np.subtract(r, eps, out=v_up)
-        np.add(r, eps, out=v_dn)
+        np.subtract(y, u, v_pair)
+        np.subtract(v, shift, v)
         np.minimum(v, lo_cap, out=lo)
         np.maximum(v, hi_cap, out=hi)
         i, j = int(lo.argmax()), int(hi.argmin())
-        b_lo, b_hi = lo[i], hi[j]
+        b_lo, b_hi = lo.item(i), hi.item(j)
         gap = b_lo - b_hi
         if gap <= tol or it >= max_iter:
-            return a_up, a_dn, float((b_lo + b_hi) / 2.0), it, bool(gap <= tol), float(gap)
+            a = np.array(alpha)
+            return a[:n], a[n:], (b_lo + b_hi) / 2.0, it, gap <= tol, gap
 
         i_up, j_up = i < n, j < n
         k, m = i % n, j % n
-        eta = k_mat[k, k] + k_mat[m, m] - 2.0 * k_mat[k, m]
+        eta = diag[k] + diag[m] - 2.0 * k_mat.item(k, m)
         a_i, a_j = alpha[i], alpha[j]
         cap_i = (c - a_i) if i_up else a_i
         cap_j = a_j if j_up else (c - a_j)
-        step = gap / eta if eta > 1e-12 else inf
-        lam = min(step, cap_i, cap_j)
+        lam = gap / eta if eta > 1e-12 else inf
+        if cap_i < lam:  # min(step, cap_i, cap_j), the earliest on ties
+            lam = cap_i
+        if cap_j < lam:
+            lam = cap_j
 
         # i and j never name the same slot: that would make the gap 0, and the tolerance is > 0.
+        # A rising slot (up slot i, down slot j) goes from [0, C) into (0, C], a falling one from
+        # (0, C] into [0, C): its caps can change only if it leaves 0 or reaches C, or leaves C
+        # or reaches 0. They are rewritten from the new value then, so extra rewrites are harmless.
         if i_up:
-            alpha[i] = c if lam >= cap_i else a_i + lam
+            new = c if lam >= cap_i else a_i + lam
+            if a_i == 0.0 or new == c:
+                lo_cap[i] = inf if new < c else -inf
+                hi_cap[i] = -inf if new > 0.0 else inf
         else:
-            alpha[i] = 0.0 if lam >= cap_i else a_i - lam
+            new = 0.0 if lam >= cap_i else a_i - lam
+            if a_i == c or new == 0.0:
+                lo_cap[i] = inf if new > 0.0 else -inf
+                hi_cap[i] = -inf if new < c else inf
+        alpha[i] = new
         if j_up:
-            alpha[j] = 0.0 if lam >= cap_j else a_j - lam
+            new = 0.0 if lam >= cap_j else a_j - lam
+            if a_j == c or new == 0.0:
+                lo_cap[j] = inf if new < c else -inf
+                hi_cap[j] = -inf if new > 0.0 else inf
         else:
-            alpha[j] = c if lam >= cap_j else a_j + lam
-        for s, s_up in ((i, i_up), (j, j_up)):
-            below_c, above_0 = alpha[s] < c, alpha[s] > 0.0
-            lo_cap[s] = inf if (below_c if s_up else above_0) else -inf
-            hi_cap[s] = -inf if (above_0 if s_up else below_c) else inf
+            new = c if lam >= cap_j else a_j + lam
+            if a_j == 0.0 or new == c:
+                lo_cap[j] = inf if new > 0.0 else -inf
+                hi_cap[j] = -inf if new < c else inf
+        alpha[j] = new
 
         if k != m:
-            np.subtract(k_mat[k], k_mat[m], out=du)
-            du *= lam
-            u += du
+            np.subtract(rows[k], rows[m], du)
+            lam_0d[()] = lam
+            np.multiply(du, lam_0d, du)
+            np.add(u, du, u)
         it += 1
-        if it % _REFRESH_EVERY == 0:
-            u[:] = k_mat @ (a_up - a_dn)
-
-
-def _smo_lockstep(
-    problems: Sequence[Callable[[], tuple[np.ndarray, np.ndarray]]],
-    n_rows: int,
-    config: SvrConfig,
-    gram_bytes: int = _LOCKSTEP_GRAM_BYTES,
-) -> Iterator[tuple[int, SmoState | None]]:
-    """Run the SMO of many fits of *n_rows* rows in lock step; yield (index, state) as each stops.
-
-    problems[i]() gives the raw (x, y) of fit i. A fixed pool of slots, as
-    many as *gram_bytes* of stacked Gram matrices allow, holds the running
-    fits as rows of (slots, n) arrays; a fit is standardized and its Gram
-    built when it enters a slot, and a slot whose fit stops (converged, or
-    max_passes reached) takes the next pending fit. Every lock-step update
-    repeats the scalar loop's operations in its order and with its ties (up
-    slot before down slot, lowest index first), so a yielded state is exactly
-    where :func:`_smo_solve` would stand: ``fit_linear_svr(x, y, config,
-    start=state)`` finishes the fit bit-identically to a fresh one.
-
-    Once no more than _SCALAR_TAIL fits are left, the running ones are
-    yielded mid-run and the pending ones with state None (start from zero),
-    so long fits finish in the scalar loop instead of holding a thin batch.
-    A fit with non-finite or misshapen data, and every fit when the pool
-    would have no more than _SCALAR_TAIL slots, is yielded with None too, for
-    fit_linear_svr to run or refuse. Each index is yielded once, in no set
-    order.
-    """
-    count, n = len(problems), n_rows
-    slots = min(count, gram_bytes // (8 * n * n)) if n >= 2 else 0
-    if slots <= _SCALAR_TAIL:
-        yield from ((i, None) for i in range(count))
-        return
-    c, eps, tol, max_iter = config.complexity_c, config.epsilon, config.tolerance, config.max_passes
-    # gram[slot[r]] holds the Gram of the fit in row r; it equals its transpose
-    # bit for bit (see _smo_solve), so the Gram column an update needs is read
-    # as a contiguous row. Rows [0, live) run.
-    # alpha holds [alpha_up | alpha_down]: one argmax over a row then prefers
-    # the up slot on ties, as the scalar loop does. The Gram stack gets its own
-    # anonymous mapping, whose pages go back to the system when the pool ends:
-    # from the heap, a block this size stays resident, and once smaller
-    # allocations split it the next pool's stack grows the process again.
-    gram = np.frombuffer(mmap.mmap(-1, 8 * slots * n * n), dtype=np.float64).reshape(slots, n, n)
-    slot = np.arange(slots)
-    diag = np.empty((slots, n))
-    owner = np.zeros(slots, dtype=np.int64)
-    y_std = np.empty((slots, n))
-    alpha = np.empty((slots, 2 * n))
-    u = np.empty((slots, n))
-    iters = np.zeros(slots, dtype=np.int64)
-    cursor = live = 0
-
-    def fill(row: int):
-        """Start the next pending fit in *row*; returns False when none is left."""
-        nonlocal cursor
-        while cursor < count:
-            i, cursor = cursor, cursor + 1
-            x, y = (np.asarray(t, dtype=np.float64) for t in problems[i]())
-            if not (x.ndim == 2 and len(x) == n and y.shape == (n,)
-                    and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                yield i, None
-                continue
-            z = standardize_columns(x)[2]
-            k_mat = z @ z.T
-            gram[slot[row]] = k_mat
-            diag[row] = np.diagonal(k_mat)
-            y_std[row] = _standardize_target(y)[2]
-            alpha[row] = 0.0
-            u[row] = 0.0
-            iters[row] = 0
-            owner[row] = i
-            return True
-        return False
-
-    def state(row: int) -> SmoState:
-        return alpha[row, :n].copy(), alpha[row, n:].copy(), u[row].copy(), int(iters[row])
-
-    while live < slots and (yield from fill(live)):
-        live += 1
-    rows = np.arange(slots)
-    lo_ok = np.empty((slots, 2 * n), dtype=bool)
-    hi_ok = np.empty((slots, 2 * n), dtype=bool)
-    v = np.empty((slots, 2 * n))
-    while live + (count - cursor) > _SCALAR_TAIL:
-        p, r = live, rows[:live]
-        a, s = alpha[:p], slot[:p]
-        # b must satisfy: b >= v_up where a_up < C, b >= v_dn where a_dn > 0,
-        #                 b <= v_up where a_up > 0, b <= v_dn where a_dn < C.
-        res = y_std[:p] - u[:p]
-        np.subtract(res, eps, out=v[:p, :n])
-        np.add(res, eps, out=v[:p, n:])
-        np.less(a[:, :n], c, out=lo_ok[:p, :n])
-        np.greater(a[:, n:], 0.0, out=lo_ok[:p, n:])
-        np.greater(a[:, :n], 0.0, out=hi_ok[:p, :n])
-        np.less(a[:, n:], c, out=hi_ok[:p, n:])
-        lo = np.where(lo_ok[:p], v[:p], -np.inf)
-        hi = np.where(hi_ok[:p], v[:p], np.inf)
-        i = lo.argmax(axis=1)
-        j = hi.argmin(axis=1)
-        gap = lo[r, i] - hi[r, j]
-        stopped = (gap <= tol) | (iters[:p] >= max_iter)
-        if stopped.any():
-            # Highest row first, so the row moved down from the end is never a
-            # stopped one not yet handed out.
-            for row in np.flatnonzero(stopped)[::-1]:
-                yield int(owner[row]), state(row)
-                if not (yield from fill(row)):
-                    live -= 1
-                    for arr in (diag, owner, y_std, alpha, u, iters):
-                        arr[row] = arr[live]
-                    slot[row], slot[live] = slot[live], slot[row]
-            continue
-
-        i_up, j_up = i < n, j < n
-        k, m = i % n, j % n
-        eta = diag[r, k] + diag[r, m] - 2.0 * gram[s, k, m]
-        a_i, a_j = a[r, i], a[r, j]
-        cap_i = np.where(i_up, c - a_i, a_i)
-        cap_j = np.where(j_up, a_j, c - a_j)
-        step = np.full(p, np.inf)
-        np.divide(gap, eta, out=step, where=eta > 1e-12)
-        lam = np.minimum(np.minimum(step, cap_i), cap_j)
-        # i and j never name the same slot of a running fit: that would make
-        # its gap 0, and the tolerance is > 0.
-        a[r, i] = np.where(lam >= cap_i, np.where(i_up, c, 0.0), np.where(i_up, a_i + lam, a_i - lam))
-        a[r, j] = np.where(lam >= cap_j, np.where(j_up, 0.0, c), np.where(j_up, a_j - lam, a_j + lam))
-        moved = k != m
-        if moved.all():
-            u[:p] += lam[:, None] * (gram[s, k] - gram[s, m])
-        else:
-            s, k, m = s[moved], k[moved], m[moved]
-            u[r[moved]] += lam[moved, None] * (gram[s, k] - gram[s, m])
-        iters[:p] += 1
-        for row in np.flatnonzero(iters[:p] % _REFRESH_EVERY == 0):
-            # Shed accumulated rounding, with the scalar loop's product.
-            u[row] = gram[slot[row]] @ (alpha[row, :n] - alpha[row, n:])
-    for row in range(live):
-        yield int(owner[row]), state(row)
-    yield from ((i, None) for i in range(cursor, count))
+        if it == refresh_at:
+            refresh_at += _REFRESH_EVERY
+            a = np.array(alpha)
+            u[:] = k_mat @ (a[:n] - a[n:])
 
 
 def _absorb_sum_drift(a_up: np.ndarray, a_dn: np.ndarray, c: float) -> None:
@@ -469,12 +333,9 @@ def fit_linear_svr(
     *,
     names: tuple[str, ...] | None = None,
     dimension: str = "arousal",
-    start: SmoState | None = None,
 ) -> SvrModel:
     """Fit a linear epsilon-SVR on raw arrays; deterministic for fixed inputs.
 
-    *start* resumes the solver from a state that :func:`_smo_lockstep` gave
-    for the same x, y and config; the model is the one a fresh fit gives.
     Raises ConvergenceError (carrying the partial model) if max_passes is hit
     before the KKT gap drops to tolerance.
     """
@@ -492,14 +353,14 @@ def fit_linear_svr(
 
     k_mat = z @ z.T
     a_up, a_dn, b_std, iters, converged, gap = _smo_solve(
-        k_mat, y_std, config.complexity_c, config.epsilon, config.tolerance, config.max_passes, start
+        k_mat, y_std, config.complexity_c, config.epsilon, config.tolerance, config.max_passes
     )
     _absorb_sum_drift(a_up, a_dn, config.complexity_c)
     beta = a_up - a_dn
     w_std = z.T @ beta
-    u = k_mat @ beta
+    # beta @ K @ beta == |z.T @ beta|^2: the Gram matrix is needed by the solver only.
     dual_objective = float(
-        0.5 * beta @ u - y_std @ beta + config.epsilon * (math.fsum(a_up) + math.fsum(a_dn))
+        0.5 * (w_std @ w_std) - y_std @ beta + config.epsilon * (math.fsum(a_up) + math.fsum(a_dn))
     )
 
     # Constant (sentinel-std) columns carry weight 0 by construction: their z column is 0.

@@ -26,3 +26,15 @@ def make_sequence(
         eye_closed=np.zeros(n, dtype=bool) if closed is None else np.asarray(closed, dtype=bool),
         source_id=source_id,
     )
+
+
+def make_qp(seed: int, n: int, d: int = 3, *, ties: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Raw (x, y) of a random regression problem; with *ties*, integer values and duplicated rows."""
+    rng = np.random.default_rng(seed)
+    if ties:
+        x = rng.integers(-2, 3, size=(n, d)).astype(float)
+        y = rng.integers(-3, 4, size=n).astype(float)
+        x[n // 2:], y[n // 2:] = x[: n - n // 2], y[: n - n // 2]  # duplicated rows
+        return x, y
+    x = rng.normal(size=(n, d))
+    return x, x @ rng.normal(size=d) + rng.normal(size=n)

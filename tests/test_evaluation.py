@@ -3,8 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazecast.errors import DegenerateDataError, ValidationError
+from gazecast import evaluation
+from gazecast.errors import ConvergenceError, DegenerateDataError, ValidationError
 from gazecast.evaluation import (
+    WORST_CC,
+    SelectionReport,
+    SelectionStep,
     cross_val_cc,
     evaluate_arrays,
     evaluation_csv,
@@ -19,7 +23,7 @@ from gazecast.evaluation import (
     selection_csv,
     wrapper_greedy_stepwise,
 )
-from gazecast.features import FEATURE_NAMES, extract_matrix
+from gazecast.features import FEATURE_NAMES, N_FEATURES, extract_matrix
 from gazecast.regression import SvrConfig, SvrModel, TrainingSet, predict_matrix
 from gazecast.windowing import segment
 
@@ -195,6 +199,114 @@ class TestCrossVal:
             [(expected, _, _)] = cross_val_cc([x], y, cfg, kfold_split(40, 5, 3))
             assert score == expected
         assert best == max(results, key=lambda t: t[1])[0]
+
+
+# --- cross_val_cc against a loop over subsets and folds -------------------------
+
+
+def _sequential_cv(x, y, config, folds):
+    n = len(y)
+    scores, degenerate = [], 0
+    for fold in folds:
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        model = evaluation.fit_linear_svr(x[mask], y[mask], config)
+        pred = predict_matrix(model, x[fold])
+        try:
+            scores.append(pearson_cc(pred, y[fold]))
+        except DegenerateDataError:
+            scores.append(WORST_CC)
+            degenerate += 1
+    return float(np.mean(scores)), scores, degenerate
+
+
+def _sequential_wrapper(data, config, k, seed, min_improvement=1e-4, max_steps=None):
+    x, y = data.features, data.targets
+    folds = kfold_split(len(y), k, seed)
+    selected, steps, current = [], [], 0.0
+    while len(selected) < x.shape[1]:
+        if max_steps is not None and len(steps) >= max_steps:
+            break
+        best_j, best_score, best_degenerate = -1, -np.inf, 0
+        for j in range(x.shape[1]):
+            if j in selected:
+                continue
+            score, _, degenerate = _sequential_cv(x[:, selected + [j]], y, config, folds)
+            if score > best_score:
+                best_j, best_score, best_degenerate = j, score, degenerate
+        if best_j < 0 or best_score <= current + min_improvement:
+            break
+        selected.append(best_j)
+        steps.append(SelectionStep(FEATURE_NAMES[best_j], best_score, best_degenerate))
+        current = best_score
+    return SelectionReport(tuple(steps), tuple(FEATURE_NAMES[j] for j in selected), data.dimension,
+                           k, seed, min_improvement)
+
+
+def _training_set(seed: int, n: int = 47) -> TrainingSet:
+    """31 features, four of them constant (their folds score WORST_CC), one a copy of another."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, N_FEATURES))
+    x[:, [2, 9, 17, 30]] = 1.5
+    x[:, 12] = x[:, 4]
+    y = np.tanh(x[:, 0] - 0.5 * x[:, 4] + 0.3 * x[:, 7] + 0.4 * rng.normal(size=n))
+    return TrainingSet(x, y, "arousal")
+
+
+class _CountFits:
+    """Counts the fits made through evaluation.fit_linear_svr, as a tracer does."""
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = evaluation.fit_linear_svr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_linear_svr", counted)
+
+
+class TestCrossValOrder:
+    """cross_val_cc fits and scores in (subset, fold) order: it gives a loop over subsets and folds bit for bit."""
+
+    def test_scores_match_a_loop_over_subsets_and_folds(self, monkeypatch):
+        data = _training_set(1)
+        x, y = data.features, data.targets
+        folds = kfold_split(len(y), 10, 0)
+        config = SvrConfig(complexity_c=0.5, epsilon=0.0)
+        subsets = [[j] for j in range(N_FEATURES)] + [[0, j] for j in range(1, N_FEATURES)]
+        expected = [_sequential_cv(x[:, cols], y, config, folds) for cols in subsets]
+        counter = _CountFits(monkeypatch)
+        got = cross_val_cc([x[:, cols] for cols in subsets], y, config, folds)
+        assert got == expected
+        assert counter.calls == len(subsets) * len(folds)
+        assert sum(d for _, _, d in got) >= 4 * len(folds)
+
+    def test_wrapper_matches_the_sequential_loop(self):
+        data = _training_set(2)
+        config = SvrConfig(complexity_c=0.091)
+        got = wrapper_greedy_stepwise(data, config, k=10, seed=3, max_steps=3)
+        assert got == _sequential_wrapper(data, config, 10, 3, max_steps=3)
+        assert len(got.steps) == 3
+
+    def test_first_convergence_error_matches(self, monkeypatch):
+        data = _training_set(3)
+        config = SvrConfig(complexity_c=0.5, max_passes=300)  # fit 41 is the first to need more
+        x, y = data.features, data.targets
+        folds = kfold_split(len(y), 10, 0)
+        subsets = [x[:, [j]] for j in range(N_FEATURES)]
+        counter = _CountFits(monkeypatch)
+        with pytest.raises(ConvergenceError) as want:
+            for xs in subsets:
+                _sequential_cv(xs, y, config, folds)
+        want_calls, counter.calls = counter.calls, 0
+        assert want_calls == 41
+        with pytest.raises(ConvergenceError) as got:
+            cross_val_cc(subsets, y, config, folds)
+        assert counter.calls == want_calls
+        assert (str(got.value), got.value.violation) == (str(want.value), want.value.violation)
+        assert got.value.model.diagnostics.alpha_up.tobytes() == want.value.model.diagnostics.alpha_up.tobytes()
 
 
 class TestWrapper:

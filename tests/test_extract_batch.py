@@ -12,6 +12,7 @@ from gazecast.features import FEATURE_NAMES, FeatureConfig, extract_matrix
 from gazecast.ingest import GazeSequence
 from gazecast.windowing import segment
 
+from helpers import make_sequence
 from oracles import (
     dft_band_psd,
     loop_approach,
@@ -138,7 +139,12 @@ class TestBatchEqualsPerWindow:
         windows = segment(recording(2.0, seed=5))  # shorter than a window
         assert len(windows) == 0
         got = extract_matrix(windows)
-        assert got.shape == (0,) and got.dtype == np.float64
+        assert got.shape == (0, len(FEATURE_NAMES)) and got.dtype == np.float64
+
+    def test_no_windows_stack_beside_their_spans(self):
+        windows = segment(make_sequence(n=40, rate_hz=30.0))  # 1.3 s: shorter than a window
+        assert len(windows) == 0
+        assert np.hstack([windows.spans, extract_matrix(windows)]).shape == (0, 2 + len(FEATURE_NAMES))
 
 
 class TestBatchMatchesOracles:

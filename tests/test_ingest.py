@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -108,6 +109,28 @@ class TestParseGazeCsv:
         assert np.array_equal(seq.gaze_y, seq2.gaze_y)
         assert np.array_equal(seq.screen_distance_mm, seq2.screen_distance_mm)
         assert np.array_equal(seq.eye_closed, seq2.eye_closed)
+
+    @pytest.mark.parametrize("n", [5, 8192 * 2 + 3])
+    def test_writer_bytes_match_a_csv_writer_loop(self, n):
+        """The joined rows are the bytes of the csv.writer loop they replaced, across write boundaries."""
+        special = [-0.0, 5e-324, 1e308, 600.0, -2.0]  # sign of zero, smallest subnormal, huge, integral
+        rng = np.random.default_rng(n)
+        x, y = (np.where(rng.random(n) < 0.5, np.resize(special, n), rng.normal(size=n)) for _ in range(2))
+        dist = np.where(rng.random(n) < 0.5, np.resize(np.abs(special[1:]), n), 600.0 + rng.normal(size=n))
+        ts = np.concatenate([[-0.0, 5e-324, 1.0], 2.0 + np.arange(n - 3) * 1000.0 / 30.0])
+        seq = GazeSequence(np.arange(n) * 3, ts, x, y, dist, rng.random(n) < 0.3)
+        want = io.StringIO()
+        w = csv.writer(want, lineterminator="\n")
+        w.writerow(["frame", "timestamp_ms", "gaze_x", "gaze_y", "screen_distance_mm", "eye_closed"])
+        for i in range(n):
+            w.writerow([int(seq.frame_index[i]), repr(float(seq.timestamp_ms[i])), repr(float(seq.gaze_x[i])),
+                        repr(float(seq.gaze_y[i])), repr(float(seq.screen_distance_mm[i])), int(seq.eye_closed[i])])
+        got = io.StringIO()
+        write_gaze_csv(seq, got)
+        got_lines, want_lines = got.getvalue().split("\n"), want.getvalue().split("\n")
+        assert len(got_lines) == len(want_lines)
+        assert [(i, a, b) for i, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b][:1] == []
+        assert {"-0.0", "5e-324", "1e+308", "600.0"} <= set(",".join(got_lines).split(","))
 
 
 class TestParseAnnotationCsv:

@@ -8,8 +8,12 @@ copies, columns. Both must agree on multipliers, bias, update count,
 convergence and gap as bytes: from the zero state and from mid-run states,
 at epsilon 0 (each point's up and down slots tie) and on duplicated integer
 rows (ties across points), when max_iter is hit and when a run crosses the
-refresh of u. The row reads rest on the Gram matrix being exactly symmetric,
-which is pinned here too.
+refresh of u. The loop rewrites a slot's caps only when its move leaves or
+reaches 0 or C, so runs are followed stop by stop through slots that leave C
+and leave 0 again; pairs formed from the two slots of one row, or of two
+copies of a row, and runs across several refreshes are pinned as well. The
+row reads rest on the Gram matrix being exactly symmetric, which is pinned
+here too.
 """
 
 import numpy as np
@@ -17,15 +21,15 @@ import pytest
 
 from gazecast.regression import _REFRESH_EVERY, _smo_solve, _standardize_target, standardize_columns
 
+from helpers import make_qp
 from oracles import reference_smo_solve
-from test_smo_lockstep import _qp
 
 TOL = 1e-3
 
 
-def _problem(seed: int, n: int, *, ties: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _problem(seed: int, n: int, *, ties: bool = False, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(Gram, standardized target) of a random regression problem, as fit_linear_svr builds them."""
-    x, y = _qp(seed, n, d=1 + seed % 4, ties=ties)
+    x, y = make_qp(seed, n, d=1 + seed % 4 if d is None else d, ties=ties)
     z = standardize_columns(x)[2]
     return z @ z.T, _standardize_target(y)[2]
 
@@ -91,6 +95,55 @@ class TestMatchesReference:
         z = standardize_columns(x)[2]
         result = _both(z @ z.T, _standardize_target(y)[2], 60.0, 0.01)
         assert result[3] > _REFRESH_EVERY and result[4]
+
+    @pytest.mark.parametrize("eps", [0.0, 0.01])
+    def test_several_refreshes_are_crossed(self, eps):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(30, 3))
+        y = x @ rng.normal(size=3) + 2.0 * rng.normal(size=30)
+        z = standardize_columns(x)[2]
+        result = _both(z @ z.T, _standardize_target(y)[2], 120.0, eps)
+        assert result[3] > 2 * _REFRESH_EVERY and result[4]
+
+    def test_every_stop_of_runs_that_leave_c_and_leave_0_again(self):
+        """Both loops stopped after each update agree; some slot leaves C, and some leaves 0 it had reached."""
+        left_c = left_0_again = False
+        for seed, ties, c, eps in ((0, False, 1.0, 0.05), (6, False, 0.3, 0.0), (7, True, 1.0, 0.0),
+                                   (1, True, 1.0, 0.05)):
+            k_mat, y = _problem(seed, 12 + seed, ties=ties, d=2)
+            total = _both(k_mat, y, c, eps)[3]
+            stops = np.array([np.concatenate(_both(k_mat, y, c, eps, max_iter=t)[:2]) for t in range(total)])
+            for slot in stops.T:
+                at_c, at_0, inside = np.flatnonzero(slot == c), np.flatnonzero(slot == 0.0), slot > 0.0
+                left_c |= len(at_c) > 0 and bool(np.any(slot[at_c[0]:] < c))
+                left_0_again |= any(inside[:t].any() and inside[t:].any() for t in at_0)
+        assert left_c and left_0_again
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_pair_within_one_row_or_two_copies_of_it(self, seed, copy):
+        """The first update pairs the down slot of row q with the up slot of row p: p == q, or q a copy of p.
+
+        From a converged fit, both slots of a row strictly inside the tube
+        get a small weight (the down slot on the copy of the row); their v
+        values then stand outside every other's.
+        """
+        n, c, eps = 24, 1.0, 0.3
+        k_mat, y = _problem(seed, n, ties=copy, d=2)
+        a_up, a_dn, b, *_ = _both(k_mat, y, c, eps)
+        inside = eps - np.abs(y - k_mat @ (a_up - a_dn) - b)
+        inside[(a_up > 0.0) | (a_dn > 0.0)] = -1.0
+        if copy:  # rows p and p + n // 2 are copies
+            p = max(range(n - n // 2), key=lambda p: min(inside[p], inside[p + n // 2]))
+            q = p + n // 2
+        else:
+            p = q = int(np.argmax(inside))
+        a_up[p] += 0.02
+        a_dn[q] += 0.01
+        state = (a_up, a_dn, k_mat @ (a_up - a_dn), 0)
+        up, dn, *_ = _both(k_mat, y, c, eps, max_iter=1, start=state)
+        assert (np.flatnonzero(up != a_up).tolist(), np.flatnonzero(dn != a_dn).tolist()) == ([p], [q])
+        _both(k_mat, y, c, eps, start=state)
 
 
 class TestGramSymmetry:
