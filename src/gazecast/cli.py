@@ -30,7 +30,6 @@ from .ingest import (
     DEFAULT_CLOSURE_THRESHOLD,
     DIMENSIONS,
     SynthesisSpec,
-    _CsvText,
     csv_rows,
     parse_annotation_csv,
     parse_gaze_csv,
@@ -102,31 +101,27 @@ def feature_csv_text(spans: np.ndarray, matrix: np.ndarray) -> str:
 
 def read_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature CSV back into (spans (k,2), features (k,31))."""
-    with open(path, "r", encoding="utf-8", newline="") as f:
-        text = _CsvText(f)
-        records = csv_rows(text)
+    spans, rows = [], []
+    with open(path, "r", encoding="utf-8", newline="") as f, _naming(path):
+        records = csv_rows(f)
         _, header = next(records, (0, None))
         if header is None:
-            raise SchemaError(f"{path}: empty feature CSV")
+            raise SchemaError("empty feature CSV")
         if header != FEATURE_CSV_HEADER:
-            raise SchemaError(f"{path}: feature CSV header does not match the canonical 31-feature layout")
-        table = text.table(text.taken, len(FEATURE_CSV_HEADER))
-        if table is not None and np.all(np.isfinite(table)):
-            return np.ascontiguousarray(table[:, :2]), np.ascontiguousarray(table[:, 2:])
-        spans, rows = [], []
+            raise SchemaError("feature CSV header does not match the canonical 31-feature layout")
         for row_no, row in records:
             if len(row) != len(FEATURE_CSV_HEADER):
-                raise SchemaError(f"{path}: data row {row_no}: expected {len(FEATURE_CSV_HEADER)} columns")
+                raise SchemaError(f"data row {row_no}: expected {len(FEATURE_CSV_HEADER)} columns")
             try:
                 values = [float(v) for v in row]
             except ValueError:
-                raise SchemaError(f"{path}: data row {row_no}: unparseable numeric cell") from None
+                raise SchemaError(f"data row {row_no}: unparseable numeric cell") from None
             if not all(map(math.isfinite, values)):
-                raise SchemaError(f"{path}: data row {row_no}: non-finite numeric cell")
+                raise SchemaError(f"data row {row_no}: non-finite numeric cell")
             spans.append(values[:2])
             rows.append(values[2:])
-    if not rows:
-        raise SchemaError(f"{path}: feature CSV has no data rows")
+        if not rows:
+            raise SchemaError("feature CSV has no data rows")
     return np.array(spans), np.array(rows)
 
 

@@ -220,21 +220,16 @@ class EvaluationReport:
     dimension: str
     n_windows: int
     cc: float | None
-    residuals: np.ndarray
     error: str | None = None
 
 
 def evaluate_arrays(pred: np.ndarray, gold: np.ndarray, dimension: str) -> EvaluationReport:
     pred = np.asarray(pred, dtype=np.float64)
     gold = np.asarray(gold, dtype=np.float64)
-    residuals = pred - gold
     try:
-        cc = pearson_cc(pred, gold)
-        return EvaluationReport(dimension=dimension, n_windows=len(gold), cc=cc, residuals=residuals)
+        return EvaluationReport(dimension=dimension, n_windows=len(gold), cc=pearson_cc(pred, gold))
     except DegenerateDataError as e:
-        return EvaluationReport(
-            dimension=dimension, n_windows=len(gold), cc=None, residuals=residuals, error=str(e)
-        )
+        return EvaluationReport(dimension=dimension, n_windows=len(gold), cc=None, error=str(e))
 
 
 # --- report rendering --------------------------------------------------------

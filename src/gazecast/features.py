@@ -298,8 +298,9 @@ def fixation_zone_stats(
         raise ValidationError("axis must be 'x' or 'y'")
     g = config.zone_grid
     xmin, xmax, ymin, ymax = config.zone_bounds
-    ix = np.clip(np.floor((xs - xmin) / (xmax - xmin) * g).astype(int), 0, g - 1)
-    iy = np.clip(np.floor((ys - ymin) / (ymax - ymin) * g).astype(int), 0, g - 1)
+    # Clamped in float before the cast, so a coordinate past int64's range still lands in its edge cell.
+    ix = np.clip(np.floor((xs - xmin) / (xmax - xmin) * g), 0, g - 1).astype(int)
+    iy = np.clip(np.floor((ys - ymin) / (ymax - ymin) * g), 0, g - 1).astype(int)
     # A stable sort of each window by cell keeps every cell's samples in time order.
     cell = ix * g + iy
     order = np.argsort(cell, axis=1, kind="stable")

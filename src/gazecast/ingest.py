@@ -13,13 +13,14 @@ and the first record that does not fit the schema wins (SchemaError, exit
 once, in the record type's ``__post_init__``, and names the first bad data
 row. "Data row N" is the N-th non-blank record after the header.
 
-A CSV file is read once, into its lines. The body then takes a fast path:
-one ``np.loadtxt`` over every column, and vector checks for the per-cell
+A CSV parser reads its file once and parses the rows with ``csv_rows``
+and ``float()``. The gaze parser, whose files run to hundreds of
+thousands of rows, first tries a fast path over its body: one
+``np.loadtxt`` over every column, and vector checks for the per-cell
 rules. Where loadtxt and the csv module could read the text differently,
-or a check fails, the parser runs its row-wise loop (``csv_rows`` and
-``float()``) over the same lines from the top of the file instead. That
-loop is the judge: a file is accepted with the arrays it would give, or
-refused with its message and row.
+or a check fails, it runs its row-wise loop over the same lines from the
+top of the file instead. That loop is the judge: a file is accepted with
+the arrays it would give, or refused with its message and row.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class _CsvText:
-    """The lines of a CSV stream, read once, and its body as one float table.
+    """The lines of a gaze CSV stream, read once, and its body as one float table.
 
     Iterating replays the lines from the top, then raises the decode fault
     that ended the read, if any. So csv_rows over it numbers lines and data
@@ -189,17 +190,17 @@ class _CsvText:
         if self.fault is not None:
             raise self.fault
 
-    def table(self, start: int, width: int) -> np.ndarray | None:
-        """The lines from *start* on as a (rows, *width*) float table, or None.
+    def table(self, width: int) -> np.ndarray | None:
+        """The gaze reader's fast path: the lines past those taken as a (rows, *width*) float table, or None.
 
         None means that only the row-wise loop may judge those lines: the
         text has a decode fault, no line longer than a line break, a line
         longer than the csv module's field limit, or a character loadtxt
         reads as whitespace but float() refuses; or loadtxt refused it, or
         found another number of columns. Blank lines are skipped, as
-        csv_rows skips them, so table row i is data row i + 1 past *start*.
+        csv_rows skips them, so table row i is data row i + 1.
         """
-        body = self.lines[start:]
+        body = self.lines[self.taken :]
         if self.fault is not None or not body:
             return None
         # A body of line breaks alone would make loadtxt warn that it holds no data.
@@ -262,7 +263,7 @@ def parse_gaze_csv(
     used = [col[c] for c in GAZE_COLUMNS] + [col[eye_name]]
 
     columns = None
-    table = text.table(text.taken, len(header))
+    table = text.table(len(header))
     if table is not None:
         frames, eyes = table[:, used[0]], table[:, used[-1]]
         # The row-wise rules as vector checks; NaN fails every comparison.
@@ -316,21 +317,9 @@ def parse_annotation_csv(stream: TextIO, dimension: str) -> AnnotationTrack:
     not parse as a number is treated as a header. Any later non-numeric row
     is a :class:`SchemaError` naming its data row.
     """
-    text = _CsvText(stream)
-    _, first = next(csv_rows(text), (0, None))
-    if first is not None and len(first) >= 2:
-        try:
-            float(first[0])
-        except ValueError:  # a header line
-            table = text.table(text.taken, len(first))
-        else:  # no header: the first record is data row 1
-            table = text.table(0, len(first))
-        if table is not None:
-            return AnnotationTrack(table[:, 0], table[:, 1], dimension)
-
     ts, values = [], []
     shift = 1  # without a header, record 0 is data row 1
-    for row_no, raw in csv_rows(text):
+    for row_no, raw in csv_rows(stream):
         if row_no == 0:
             try:
                 float(raw[0])

@@ -181,16 +181,6 @@ def standardize_columns(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return means, stds, (x - means) / stds
 
 
-def _standardize_target(y: np.ndarray) -> tuple[float, float, np.ndarray]:
-    if np.all(y == y[0]):  # same sentinel rule as constant feature columns
-        return float(y[0]), 1.0, np.zeros_like(y)
-    t_mean = float(np.mean(y))
-    t_std = float(np.std(y, ddof=1))
-    if t_std == 0.0:
-        t_std = 1.0
-    return t_mean, t_std, (y - t_mean) / t_std
-
-
 def _smo_solve(
     k_mat: np.ndarray, y: np.ndarray, c: float, eps: float, tol: float, max_iter: int,
     start: SmoState | None = None,
@@ -349,7 +339,8 @@ def fit_linear_svr(
         raise ValidationError("non-finite feature or target values")
 
     means, stds, z = standardize_columns(x)
-    t_mean, t_std, y_std = _standardize_target(y)
+    (t_mean,), (t_std,), y_std = standardize_columns(y[:, None])  # the target, by the same sentinel rule
+    y_std = y_std[:, 0]
 
     k_mat = z @ z.T
     a_up, a_dn, b_std, iters, converged, gap = _smo_solve(
@@ -371,8 +362,8 @@ def fit_linear_svr(
         bias=float(bias),
         feature_means=means,
         feature_stds=stds,  # sentinel 1.0 where the column had zero variance
-        target_mean=t_mean,
-        target_std=t_std,
+        target_mean=float(t_mean),
+        target_std=float(t_std),
         dimension=dimension,
         config=config,
         feature_names=tuple(names) if names is not None else tuple(f"f{i}" for i in range(x.shape[1])),

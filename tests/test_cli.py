@@ -329,7 +329,7 @@ class TestFileFaults:
 
 
 class TestCsvFaultsNameTheFile:
-    """A fault in a gaze or annotation CSV names that file, with the exit code of the fault."""
+    """A fault in a gaze, annotation or feature CSV names that file, with the exit code of the fault."""
 
     def test_gaze_file_with_byte_ff(self, tmp_path, capsys):
         bad = tmp_path / "bad_gaze.csv"
@@ -343,6 +343,18 @@ class TestCsvFaultsNameTheFile:
                        "0,0,0.1,0.0,600,0\n1,0,0.1,0.0,600,0\n")
         assert run("extract", "--gaze", bad, "--out", tmp_path / "f.csv") == 3
         assert f"{bad}: data row 2" in capsys.readouterr().err
+
+    @UNREADABLE_TEXT
+    def test_feature_file_line_fault(self, tmp_path, capsys, damage, message):
+        features = tmp_path / "bad_features.csv"
+        lines = (FIXTURES / "golden_features.csv").read_bytes().splitlines(keepends=True)
+        features.write_bytes(b"".join(lines[:2] + [damage] + lines[2:]))
+        ann = tmp_path / "ann.csv"
+        write_annotation(ann, [(0.0, 0.1), (60_000.0, 0.2)])
+        assert run("train", "--features", features, "--annotations", ann, "--dimension", "arousal",
+                   "--out", tmp_path / "m.txt") == 2
+        err = capsys.readouterr().err
+        assert f"{features}: line 3: " in err and message in err
 
     def test_second_annotation_file_of_a_manifest(self, tmp_path, capsys):
         manifest = TestPipeline()._corpus(tmp_path)

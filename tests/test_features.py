@@ -23,7 +23,7 @@ from gazecast.ingest import synthesize_sequence
 from gazecast.windowing import segment
 
 from helpers import make_sequence
-from oracles import dft_band_psd, reference_stats
+from oracles import dft_band_psd, loop_zone_stats, reference_stats
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -189,6 +189,15 @@ class TestFixationZones:
     def test_empty_input(self):
         with pytest.raises(ValidationError):
             fixation_zone_stats([], [], "x")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("far", [2.0**63, 1e19, -1e19, 1e100, -1e100])
+    def test_coordinates_past_int64_clamp_to_the_edge_cell(self, far, axis):
+        near, far = [-0.9, -0.8, 0.1, 0.2], [far, 2.0 * far, 3.0 * far, 0.0]
+        xs, ys = (far, near) if axis == "x" else (near, far)
+        expected = loop_zone_stats(xs, ys, axis, 3, (-1.0, 1.0, -1.0, 1.0))
+        assert fixation_zone_stats(xs, ys, axis) == pytest.approx(expected, rel=1e-12)
 
 
 class TestScanPaths:

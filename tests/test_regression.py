@@ -12,12 +12,17 @@ from gazecast.regression import (
     fit_linear_svr,
     model_from_text,
     model_to_text,
-    _standardize_target,
     predict_matrix,
     standardize_columns,
 )
 
 from oracles import kkt_violations, qp_oracle_svr
+
+
+def _standardize_target(y):
+    """(mean, std, z) of a target, z-scored as fit_linear_svr does it: as one standardize_columns column."""
+    (mean,), (std,), z = standardize_columns(np.asarray(y, dtype=np.float64)[:, None])
+    return mean, std, z[:, 0]
 
 
 def fit_set(data: TrainingSet, config: SvrConfig):

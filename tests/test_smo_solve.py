@@ -19,12 +19,18 @@ here too.
 import numpy as np
 import pytest
 
-from gazecast.regression import _REFRESH_EVERY, _smo_solve, _standardize_target, standardize_columns
+from gazecast.regression import _REFRESH_EVERY, _smo_solve, standardize_columns
 
 from helpers import make_qp
 from oracles import reference_smo_solve
 
 TOL = 1e-3
+
+
+def _standardize_target(y):
+    """(mean, std, z) of a target, z-scored as fit_linear_svr does it: as one standardize_columns column."""
+    (mean,), (std,), z = standardize_columns(np.asarray(y, dtype=np.float64)[:, None])
+    return mean, std, z[:, 0]
 
 
 def _problem(seed: int, n: int, *, ties: bool = False, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
