@@ -18,16 +18,7 @@ from .evaluation import (
     rank_by_correlation,
     wrapper_greedy_stepwise,
 )
-from .features import (
-    FeatureConfig,
-    approach_stats,
-    band_psd,
-    descriptive_stats,
-    extract_matrix,
-    eye_closure_stats,
-    fixation_zone_stats,
-    scan_path_stats,
-)
+from .features import FeatureConfig, extract_matrix
 from .ingest import (
     AnnotationTrack,
     ChannelSpec,
@@ -38,7 +29,6 @@ from .ingest import (
     parse_gaze_csv,
     synthesize_sequence,
     validate_sequence,
-    write_annotation_csv,
     write_gaze_csv,
 )
 from .regression import (

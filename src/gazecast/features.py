@@ -31,8 +31,9 @@ Numeric conventions, applied everywhere a statistic is formed:
 Extraction is batched. :func:`extract_matrix` takes the windows of one
 sequence as index arrays (a :class:`windowing.Windows` record), groups them
 by sample count and runs each group in fixed chunks of (W, n) arrays through
-one call per feature family; a 1-d call to a family function is a batch of
-one. The nominal rate is taken once per sequence.
+one call per feature family. Every family takes (W, n) arrays, one row per
+window, and returns a (W, k) array, one row of k features per window. The
+nominal rate is taken once per sequence.
 Sums over runs, zones and episodes are NumPy reductions over blocks of
 equal-length groups, so they follow NumPy's own reduction order for a 1-d
 array (pairwise from 8 terms on): a window's features are the same bits
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -102,6 +102,8 @@ class FeatureConfig:
             raise ValidationError("approach_delta_mm must be >= 0")
         if not (self.zone_grid >= 1):
             raise ValidationError("zone_grid must be >= 1")
+        if self.zone_grid > math.isqrt(2**63 - 1):  # a cell key ix * zone_grid + iy must fit in int64
+            raise ValidationError(f"zone_grid must be <= {math.isqrt(2**63 - 1)}")
         if self.psd_mode not in PSD_MODES:
             raise ValidationError(f"psd_mode must be one of {PSD_MODES}")
         if not (self.psd_pad_resolution_hz > 0):
@@ -112,29 +114,7 @@ class FeatureConfig:
             raise ValidationError("zone_bounds must be finite and satisfy xmax > xmin and ymax > ymin")
 
 
-class DescriptiveStats(NamedTuple):
-    mean: float
-    std: float
-    skewness: float
-    iqr_q1q2: float
-    iqr_q2q3: float
-
-
 # --- batch plumbing -----------------------------------------------------------
-
-
-def _as_rows(name: str, *arrays, dtype=np.float64) -> tuple[list[np.ndarray], bool]:
-    """The inputs as (W, n) batches, and whether they came as one 1-d window."""
-    arrs = [np.asarray(a, dtype=dtype) for a in arrays]
-    if arrs[0].ndim not in (1, 2):
-        raise ValidationError(f"{name} needs a 1-d series or a 2-d batch of rows")
-    single = arrs[0].ndim == 1
-    return [a.reshape(1, -1) if single else a for a in arrs], single
-
-
-def _unbatch(out: np.ndarray, single: bool):
-    """A batch of one back to the tuple of floats a 1-d call returns."""
-    return tuple(float(v) for v in out[0]) if single else out
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,14 +192,14 @@ def _item_moments(values: np.ndarray, rows: np.ndarray, n_rows: int, skew: bool 
 
 # --- feature families ---------------------------------------------------------
 #
-# Each family works along the last axis: a 1-d input is one window and gives
-# the documented tuple of floats; a (W, n) batch of equal-length windows gives
-# a (W, k) array with the same columns, one row per window.
+# Each family takes (W, n) float arrays (bool for eye closure), one row per
+# window of n samples, and returns a (W, k) array: row i holds the k features
+# of window i, in the columns its docstring lists. fixation_zone_stats sorts
+# the zone cells once for both axes: (W, 4), x avg, x std, y avg, y std.
 
 
-def descriptive_stats(series) -> DescriptiveStats | np.ndarray:
-    """Mean, sample std, moment skewness, and the two inter-quartile distances."""
-    (x,), single = _as_rows("descriptive_stats", series)
+def descriptive_stats(x) -> np.ndarray:
+    """Columns mean, sample std, moment skewness, and the two inter-quartile distances (q2 - q1, q3 - q2)."""
     if x.shape[1] < 2:
         raise ValidationError("descriptive_stats needs series of length >= 2")
     out = np.zeros((len(x), 5))
@@ -231,26 +211,28 @@ def descriptive_stats(series) -> DescriptiveStats | np.ndarray:
         out[~const, :3] = _moments(v, skew=True)
         out[~const, 3] = q2 - q1
         out[~const, 4] = q3 - q2
-    return DescriptiveStats(*_unbatch(out, True)) if single else out
+    return out
 
 
-def band_psd(series, rate_hz: float, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
-    """Five band powers from a zero-padded periodogram of the mean-removed series.
+def band_psd(x, rate_hz: float, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Five band-power columns from a zero-padded periodogram of each mean-removed row.
 
-    The series is padded so the bin spacing is at most
+    Each row is padded so the bin spacing is at most
     config.psd_pad_resolution_hz. Bands 1 and 2 take the single bin nearest
     their target frequency; bands 3-5 average the bins inside their ranges
     (falling back to the bin nearest the range midpoint if the range holds
     no bin, which cannot happen at the default resolution).
     """
-    (x,), single = _as_rows("band_psd", series)
     if x.shape[1] < 2:
         raise ValidationError("band_psd needs at least 2 samples")
     if not (rate_hz > 0):
         raise ValidationError("rate_hz must be > 0")
     n = x.shape[1]
-    n_pad = max(n, int(math.ceil(rate_hz / config.psd_pad_resolution_hz)))
+    n_pad = rate_hz / config.psd_pad_resolution_hz  # a float until checked: it may be inf
     try:  # the frequency grid and the spectra grow with n_pad
+        if not (n_pad <= 2.0**60):  # past NumPy's array size limit, which raises ValueError instead
+            raise MemoryError
+        n_pad = max(n, math.ceil(n_pad))
         freqs = np.arange(n_pad // 2 + 1) * (rate_hz / n_pad)
         scale = rate_hz if config.psd_mode == "normalized" else 1.0
         bands = []  # [a, b) bin range each band averages; a single bin is a range of one
@@ -278,24 +260,18 @@ def band_psd(series, rate_hz: float, config: FeatureConfig = FeatureConfig()) ->
     power = (spec.real**2 + spec.imag**2) / n
     # Column slices, not a column mask: masking columns yields a column-major
     # copy, whose rows NumPy sums in another order than a 1-d mean.
-    out = np.column_stack([np.mean(power[:, a - k0 : b - k0], axis=1) for a, b in bands])
-    return out[0] if single else out
+    return np.column_stack([np.mean(power[:, a - k0 : b - k0], axis=1) for a, b in bands])
 
 
-def fixation_zone_stats(
-    xs, ys, axis: str, config: FeatureConfig = FeatureConfig()
-) -> tuple[float, float] | np.ndarray:
-    """Mean and sample std of per-zone coordinate stds along *axis* ("x" or "y").
+def fixation_zone_stats(xs, ys, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Mean and sample std of per-zone coordinate stds; columns x avg, x std, y avg, y std.
 
     The zone_bounds box is split into zone_grid**2 equal cells; samples
     outside the box clamp to the nearest cell. Only cells holding >= 2
     samples contribute a std. No qualifying cell -> (0, 0); one -> (std, 0).
     """
-    (xs, ys), single = _as_rows("fixation_zone_stats", xs, ys)
     if xs.shape[1] == 0 or xs.shape != ys.shape:
         raise ValidationError("fixation_zone_stats needs equal-length non-empty coordinate lists")
-    if axis not in ("x", "y"):
-        raise ValidationError("axis must be 'x' or 'y'")
     g = config.zone_grid
     xmin, xmax, ymin, ymax = config.zone_bounds
     # Clamped in float before the cast, so a coordinate past int64's range still lands in its edge cell.
@@ -305,28 +281,29 @@ def fixation_zone_stats(
     cell = ix * g + iy
     order = np.argsort(cell, axis=1, kind="stable")
     cell = np.take_along_axis(cell, order, axis=1)
-    coords = np.take_along_axis(xs if axis == "x" else ys, order, axis=1).ravel()
     first = np.ones(cell.shape, dtype=bool)  # first sample of a (window, cell) zone
     first[:, 1:] = cell[:, 1:] != cell[:, :-1]
     starts = np.flatnonzero(first)
     counts = np.diff(np.r_[starts, cell.size])
     starts, counts = starts[counts >= 2], counts[counts >= 2]
-    stds = np.empty(len(starts))
-    for sel, idx in _segments(starts, counts):
-        stds[sel] = _moments(coords[idx])[:, 1]
-    return _unbatch(_item_moments(stds, starts // cell.shape[1], len(xs)), single)
+    segments = list(_segments(starts, counts))
+    out = np.empty((len(xs), 4))
+    for col, coords in ((0, xs), (2, ys)):
+        coords = np.take_along_axis(coords, order, axis=1).ravel()
+        stds = np.empty(len(starts))
+        for sel, idx in segments:
+            stds[sel] = _moments(coords[idx])[:, 1]
+        out[:, col : col + 2] = _item_moments(stds, starts // cell.shape[1], len(xs))
+    return out
 
 
-def scan_path_stats(
-    xs, ys, timestamps_ms, config: FeatureConfig = FeatureConfig()
-) -> tuple[float, float] | np.ndarray:
-    """Mean and sample std of scan-path lengths inside the window.
+def scan_path_stats(xs, ys, ts, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Columns mean and sample std of scan-path lengths inside each window; *ts* in ms.
 
     A step is scanning when its velocity (Euclidean step distance over step
     duration) exceeds velocity_threshold; a scan path is a maximal run of
     scanning steps and its length is the sum of its step distances.
     """
-    (xs, ys, ts), single = _as_rows("scan_path_stats", xs, ys, timestamps_ms)
     if xs.shape[1] < 2:
         raise ValidationError("scan_path_stats needs at least 2 samples")
     dist = np.hypot(np.diff(xs, axis=1), np.diff(ys, axis=1))
@@ -336,19 +313,15 @@ def scan_path_stats(
     lengths = np.empty(len(rows))
     for sel, idx in _segments(rows * dist.shape[1] + starts, stops - starts):
         lengths[sel] = np.sum(flat[idx], axis=1)
-    return _unbatch(_item_moments(lengths, rows, len(xs)), single)
+    return _item_moments(lengths, rows, len(xs))
 
 
-def approach_stats(
-    distances_mm, timestamps_ms, config: FeatureConfig = FeatureConfig()
-) -> tuple[float, float] | np.ndarray:
-    """Fraction of approaching steps and mean approach-episode duration in ms.
+def approach_stats(d, ts, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Columns fraction of approaching steps and mean approach-episode duration in ms.
 
-    A step approaches when the eye-to-screen distance drops by more than
-    approach_delta_mm. An episode of steps i..j spans timestamps_ms[j+1] -
-    timestamps_ms[i]. No episodes -> (0, 0).
+    A step approaches when the eye-to-screen distance *d* (mm) drops by more than
+    approach_delta_mm. An episode of steps i..j spans ts[j+1] - ts[i] (ms). No episodes -> (0, 0).
     """
-    (d, ts), single = _as_rows("approach_stats", distances_mm, timestamps_ms)
     if d.shape[1] < 2:
         raise ValidationError("approach_stats needs at least 2 samples")
     approaching = -np.diff(d, axis=1) > config.approach_delta_mm
@@ -356,28 +329,27 @@ def approach_stats(
     out = np.empty((len(d), 2))
     out[:, 0] = np.mean(approaching, axis=1)
     out[:, 1] = _item_moments(ts[rows, stops] - ts[rows, starts], rows, len(d))[:, 0]
-    return _unbatch(out, single)
+    return out
 
 
-def eye_closure_stats(closed_flags) -> tuple[float, float, float] | np.ndarray:
-    """Mean, sample std, and skewness of eye-closure episode frame counts.
+def eye_closure_stats(flags) -> np.ndarray:
+    """Columns mean, sample std, and skewness of eye-closure episode frame counts.
 
     An episode is a maximal run of closed frames. No episodes -> (0, 0, 0);
     a single episode -> (length, 0, 0).
     """
-    (flags,), single = _as_rows("eye_closure_stats", closed_flags, dtype=bool)
     if flags.shape[1] == 0:
         raise ValidationError("eye_closure_stats needs a non-empty flag list")
     rows, starts, stops = _runs(flags)
     lengths = (stops - starts).astype(np.float64)
-    return _unbatch(_item_moments(lengths, rows, len(flags), skew=True), single)
+    return _item_moments(lengths, rows, len(flags), skew=True)
 
 
 # --- the 31-feature vector ------------------------------------------------------
 
 # Windows per batch: bounds the (W, n_pad) spectra, the largest arrays of a batch.
 _CHUNK_WINDOWS = 128
-# DescriptiveStats order -> canonical block order (mean, iqr_q1q2, iqr_q2q3, std, skewness).
+# descriptive_stats column order -> canonical block order (mean, iqr_q1q2, iqr_q2q3, std, skewness).
 _BLOCK_COLUMNS = [0, 3, 4, 1, 2]
 
 
@@ -387,10 +359,10 @@ def _chunk_features(seq, take: np.ndarray, rate_hz: float, config: FeatureConfig
     out = np.empty((len(take), N_FEATURES))
     out[:, 0:2] = approach_stats(seq.screen_distance_mm[take], ts, config)
     out[:, 2:4] = scan_path_stats(xs, ys, ts, config)
-    for base, coords, axis in ((4, xs, "x"), (16, ys, "y")):
+    for base, coords in ((4, xs), (16, ys)):
         out[:, base : base + 5] = descriptive_stats(coords)[:, _BLOCK_COLUMNS]
         out[:, base + 5 : base + 10] = band_psd(coords, rate_hz, config)
-        out[:, base + 10 : base + 12] = fixation_zone_stats(xs, ys, axis, config)
+    out[:, [14, 15, 26, 27]] = fixation_zone_stats(xs, ys, config)
     out[:, 28:31] = eye_closure_stats(seq.eye_closed[take])
     return out
 

@@ -348,13 +348,6 @@ def write_gaze_csv(seq: GazeSequence, stream: TextIO) -> None:
         stream.write("".join([f"{f},{t!r},{x!r},{y!r},{d!r},{e}\n" for f, t, x, y, d, e in rows]))
 
 
-def write_annotation_csv(track: AnnotationTrack, stream: TextIO) -> None:
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(["timestamp_ms", "value"])
-    for t, v in zip(track.timestamps_ms, track.values):
-        w.writerow([repr(float(t)), repr(float(v))])
-
-
 def validate_sequence(seq: GazeSequence, hop_s: float = 2.0) -> ValidationReport:
     """Summarize rate jitter, NaN counts, and duration; flag unusable sequences.
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+from typing import TextIO
+
 import numpy as np
 
-from gazecast.ingest import GazeSequence
+from gazecast.ingest import AnnotationTrack, GazeSequence
 
 
 def make_sequence(
@@ -26,6 +29,14 @@ def make_sequence(
         eye_closed=np.zeros(n, dtype=bool) if closed is None else np.asarray(closed, dtype=bool),
         source_id=source_id,
     )
+
+
+def write_annotation_csv(track: AnnotationTrack, stream: TextIO) -> None:
+    """*track* as an annotation CSV: a timestamp_ms,value header, then one repr'd row per point."""
+    w = csv.writer(stream, lineterminator="\n")
+    w.writerow(["timestamp_ms", "value"])
+    for t, v in zip(track.timestamps_ms, track.values):
+        w.writerow([repr(float(t)), repr(float(v))])
 
 
 def make_qp(seed: int, n: int, d: int = 3, *, ties: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -170,6 +170,15 @@ class TestSizesTooLargeToAllocate:
         assert "psd_pad_resolution_hz 1e-15 needs" in capsys.readouterr().err
         assert not out.exists()
 
+    # 3e-18 at the fixture's 10 Hz asks for 3.3e18 points: past NumPy's array size limit, below 2**62.
+    @pytest.mark.parametrize("value", ["3e-18", "1e-300", "1e-320"])
+    def test_psd_resolution_past_the_array_size_limit(self, tmp_path, capsys, value):
+        out = tmp_path / "f.csv"
+        assert run("extract", "--gaze", FIXTURES / "golden_gaze.csv", "--out", out, "--psd-resolution-hz", value) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gazecast: error: psd_pad_resolution_hz") and "too large to allocate" in err
+        assert not out.exists()
+
 
 def _feature_csv_text_loop(spans, matrix) -> str:
     """The per-value writer loop that feature_csv_text replaced."""
@@ -262,6 +271,13 @@ class TestNanSettings:
     ])
     def test_non_finite_solver_setting_exits_3(self, tmp_path, capsys, flag, value, message):
         self._check_exits_3(tmp_path, capsys, "train", flag, value, message)
+
+    @pytest.mark.parametrize("value", [str(2**40), "99999999999999999999"])
+    def test_zone_grid_whose_cell_key_overflows_int64_exits_3(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert run("extract", "--gaze", FIXTURES / "golden_gaze.csv", "--out", out, "--zone-grid", value) == 3
+        assert capsys.readouterr().err.startswith("gazecast: error: zone_grid must be <= 3037000499")
+        assert not out.exists()
 
     def test_max_steps_below_one_exits_3(self, tmp_path, capsys):
         self._check_exits_3(tmp_path, capsys, "select", "--max-steps", "-1", "max_steps must be None or >= 1")

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,14 @@ finite_series = st.lists(
     min_size=2,
     max_size=120,
 )
+
+
+Stats = namedtuple("Stats", "mean std skewness iqr_q1q2 iqr_q2q3")  # descriptive_stats' columns
+
+
+def one(family, *series, dtype=np.float64, **kwargs) -> np.ndarray:
+    """*family* called on a batch of one window (each series as a (1, n) array): its row 0."""
+    return family(*(np.asarray(s, dtype=dtype)[None] for s in series), **kwargs)[0]
 
 
 def first_window(seq, config: FeatureConfig = FeatureConfig()) -> dict[str, float]:
@@ -82,7 +91,7 @@ def pin_skew_examples(test):
 
 class TestDescriptiveStats:
     def test_one_to_eight(self):
-        s = descriptive_stats(list(range(1, 9)))
+        s = Stats(*one(descriptive_stats, list(range(1, 9))))
         assert s.mean == pytest.approx(4.5)
         assert s.std == pytest.approx(2.449489742783178, abs=1e-12)
         assert s.skewness == pytest.approx(0.0, abs=1e-12)
@@ -90,13 +99,13 @@ class TestDescriptiveStats:
         assert s.iqr_q2q3 == pytest.approx(1.75, abs=1e-12)
 
     def test_constant_series(self):
-        assert descriptive_stats([5.0, 5.0, 5.0, 5.0]) == (5.0, 0.0, 0.0, 0.0, 0.0)
+        assert tuple(one(descriptive_stats, [5.0, 5.0, 5.0, 5.0])) == (5.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_negation_symmetry(self):
         rng = np.random.default_rng(3)
         x = rng.gamma(2.0, size=50)  # skewed on purpose
-        a = descriptive_stats(x)
-        b = descriptive_stats(-x)
+        a = Stats(*one(descriptive_stats, x))
+        b = Stats(*one(descriptive_stats, -x))
         assert b.mean == pytest.approx(-a.mean, rel=1e-12)
         assert b.skewness == pytest.approx(-a.skewness, rel=1e-12)
         assert b.std == pytest.approx(a.std, rel=1e-12)
@@ -105,12 +114,12 @@ class TestDescriptiveStats:
 
     def test_too_short(self):
         with pytest.raises(ValidationError):
-            descriptive_stats([1.0])
+            one(descriptive_stats, [1.0])
 
     @given(finite_series)
     @pin_skew_examples
     def test_matches_reference_oracle(self, series):
-        got = descriptive_stats(series)
+        got = one(descriptive_stats, series)
         exp = reference_stats(series)
         for g, e in zip(got, exp):
             assert g == pytest.approx(e, rel=1e-12, abs=1e-12)
@@ -120,18 +129,18 @@ class TestDescriptiveStats:
     def test_symmetric_series_has_zero_skew(self, series):
         x = np.asarray(series)
         sym = np.concatenate([x, -x])  # exactly symmetric about 0
-        assert abs(descriptive_stats(sym).skewness) <= 1e-12
+        assert abs(Stats(*one(descriptive_stats, sym)).skewness) <= 1e-12
 
 
 class TestBandPsd:
     def test_zero_series(self):
-        assert np.all(band_psd(np.zeros(90), 30.0) == 0.0)
-        assert np.all(band_psd(np.full(90, 3.3), 30.0) == 0.0)  # mean-removed
+        assert np.all(one(band_psd, np.zeros(90), rate_hz=30.0) == 0.0)
+        assert np.all(one(band_psd, np.full(90, 3.3), rate_hz=30.0) == 0.0)  # mean-removed
 
     def test_sinusoid_in_top_band_with_long_context(self):
         t = np.arange(2700) / 30.0  # 90 s at 30 fps
         x = np.sin(2 * np.pi * 0.1 * t)
-        bands = band_psd(x, 30.0)
+        bands = one(band_psd, x, rate_hz=30.0)
         assert int(np.argmax(bands)) == 4
         assert all(bands[4] > bands[b] for b in range(4))
         oracle = dft_band_psd(x, 30.0)
@@ -142,7 +151,7 @@ class TestBandPsd:
         rng = np.random.default_rng(8)
         x = rng.normal(size=90)
         config = FeatureConfig(psd_mode=mode)
-        got = band_psd(x, 30.0, config)
+        got = one(band_psd, x, rate_hz=30.0, config=config)
         exp = dft_band_psd(x, 30.0, mode=mode)
         np.testing.assert_allclose(got, exp, rtol=1e-9)
 
@@ -150,54 +159,56 @@ class TestBandPsd:
     @settings(max_examples=30)
     def test_bands_non_negative(self, seed):
         x = np.random.default_rng(seed).normal(size=60)
-        assert np.all(band_psd(x, 25.0) >= 0.0)
+        assert np.all(one(band_psd, x, rate_hz=25.0) >= 0.0)
 
     def test_too_short(self):
         with pytest.raises(ValidationError):
-            band_psd([1.0], 30.0)
+            one(band_psd, [1.0], rate_hz=30.0)
 
 
 class TestFixationZones:
     def test_single_cell_hand_value(self):
         xs = [0.1, 0.2, 0.3]
         ys = [0.1, 0.1, 0.1]
-        avg_std, std_std = fixation_zone_stats(xs, ys, "x")
+        avg_std, std_std = one(fixation_zone_stats, xs, ys)[:2]
         assert avg_std == pytest.approx(0.1, abs=1e-12)
         assert std_std == 0.0
 
     def test_all_cells_sparse(self):
         xs = [-0.9, 0.0, 0.9]
         ys = [-0.9, 0.0, 0.9]
-        assert fixation_zone_stats(xs, ys, "x") == (0.0, 0.0)
+        assert tuple(one(fixation_zone_stats, xs, ys)[:2]) == (0.0, 0.0)
 
     def test_congruent_cells_have_zero_spread(self):
         base = np.array([0.0625, 0.125, 0.1875])
         xs = np.concatenate([base, base + 0.5])
         ys = np.full(6, -0.5)
-        avg_std, std_std = fixation_zone_stats(xs, ys, "x")
+        avg_std, std_std = one(fixation_zone_stats, xs, ys)[:2]
         assert std_std == 0.0
         assert avg_std == pytest.approx(np.std(base, ddof=1), abs=1e-15)
 
     def test_outside_samples_clamp(self):
         xs = [-5.0, -4.0, 5.0, 6.0]
         ys = [0.0, 0.0, 0.0, 0.0]
-        avg_std, std_std = fixation_zone_stats(xs, ys, "x")
+        avg_std, std_std = one(fixation_zone_stats, xs, ys)[:2]
         # two corner cells, each with 2 samples of x-std 1/sqrt(2)
         assert avg_std == pytest.approx(np.std([-5.0, -4.0], ddof=1), rel=1e-12)
         assert std_std == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_input(self):
         with pytest.raises(ValidationError):
-            fixation_zone_stats([], [], "x")
+            one(fixation_zone_stats, [], [])
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("axis", ["x", "y"])
+    @pytest.mark.parametrize("far_axis", ["x", "y"])
     @pytest.mark.parametrize("far", [2.0**63, 1e19, -1e19, 1e100, -1e100])
-    def test_coordinates_past_int64_clamp_to_the_edge_cell(self, far, axis):
+    def test_coordinates_past_int64_clamp_to_the_edge_cell(self, far, far_axis):
         near, far = [-0.9, -0.8, 0.1, 0.2], [far, 2.0 * far, 3.0 * far, 0.0]
-        xs, ys = (far, near) if axis == "x" else (near, far)
-        expected = loop_zone_stats(xs, ys, axis, 3, (-1.0, 1.0, -1.0, 1.0))
-        assert fixation_zone_stats(xs, ys, axis) == pytest.approx(expected, rel=1e-12)
+        xs, ys = (far, near) if far_axis == "x" else (near, far)
+        got = one(fixation_zone_stats, xs, ys)
+        for axis, columns in (("x", got[:2]), ("y", got[2:])):
+            expected = loop_zone_stats(xs, ys, axis, 3, (-1.0, 1.0, -1.0, 1.0))
+            assert tuple(columns) == pytest.approx(expected, rel=1e-12)
 
 
 class TestScanPaths:
@@ -206,26 +217,26 @@ class TestScanPaths:
         xs = np.arange(n) * 0.2  # 2 units/s >> threshold
         ys = np.zeros(n)
         ts = np.arange(n) * 1000.0 / rate
-        avg, std = scan_path_stats(xs, ys, ts)
+        avg, std = one(scan_path_stats, xs, ys, ts)
         assert avg == pytest.approx(0.2 * (n - 1), rel=1e-12)
         assert std == 0.0
 
     def test_stationary(self):
         ts = np.arange(20) * 100.0
-        assert scan_path_stats(np.zeros(20), np.zeros(20), ts) == (0.0, 0.0)
+        assert tuple(one(scan_path_stats, np.zeros(20), np.zeros(20), ts)) == (0.0, 0.0)
 
     def test_two_equal_paths(self):
         # 10 Hz sampling: step > 0.05 units is scanning at the 0.5 u/s default
         xs = np.array([0.0, 0.15, 0.30, 0.301, 0.302, 0.303, 0.453, 0.603, 0.604, 0.605])
         ys = np.zeros(10)
         ts = np.arange(10) * 100.0
-        avg, std = scan_path_stats(xs, ys, ts)
+        avg, std = one(scan_path_stats, xs, ys, ts)
         assert avg == pytest.approx(0.3, rel=1e-9)
         assert std == pytest.approx(0.0, abs=1e-12)
 
     def test_too_short(self):
         with pytest.raises(ValidationError):
-            scan_path_stats([0.0], [0.0], [0.0])
+            one(scan_path_stats, [0.0], [0.0], [0.0])
 
 
 class TestApproach:
@@ -233,13 +244,13 @@ class TestApproach:
         n, rate = 90, 30.0
         ts = np.arange(n) * 1000.0 / rate
         dist = 600.0 - np.arange(n)
-        ratio, avg_ms = approach_stats(dist, ts)
+        ratio, avg_ms = one(approach_stats, dist, ts)
         assert ratio == 1.0
         assert avg_ms == pytest.approx(ts[-1] - ts[0], rel=1e-12)  # 3000 ms minus one frame
 
     def test_strictly_increasing(self):
         ts = np.arange(90) * (1000.0 / 30.0)
-        assert approach_stats(600.0 + np.arange(90), ts) == (0.0, 0.0)
+        assert tuple(one(approach_stats, 600.0 + np.arange(90), ts)) == (0.0, 0.0)
 
     def test_half_ramp(self):
         n = 91  # 90 steps
@@ -247,36 +258,36 @@ class TestApproach:
         down = 600.0 - np.arange(46)
         up = down[-1] + np.arange(1, 46)
         dist = np.concatenate([down, up])
-        ratio, avg_ms = approach_stats(dist, ts)
+        ratio, avg_ms = one(approach_stats, dist, ts)
         assert ratio == pytest.approx(0.5)
         assert avg_ms == pytest.approx(ts[45] - ts[0], rel=1e-12)  # one episode
 
     def test_delta_hysteresis(self):
         ts = np.arange(4) * 100.0
         dist = np.array([600.0, 599.8, 599.6, 599.4])  # drops of 0.2 mm
-        assert approach_stats(dist, ts, FeatureConfig(approach_delta_mm=0.5))[0] == 0.0
-        assert approach_stats(dist, ts, FeatureConfig(approach_delta_mm=0.1))[0] == 1.0
+        assert one(approach_stats, dist, ts, config=FeatureConfig(approach_delta_mm=0.5))[0] == 0.0
+        assert one(approach_stats, dist, ts, config=FeatureConfig(approach_delta_mm=0.1))[0] == 1.0
 
 
 class TestEyeClosure:
     def test_two_episodes_hand_value(self):
         flags = [0, 1, 1, 0, 1, 1, 1, 0]
-        avg, std, skew = eye_closure_stats(np.array(flags, dtype=bool))
+        avg, std, skew = one(eye_closure_stats, flags, dtype=bool)
         assert avg == pytest.approx(2.5)
         assert std == pytest.approx(np.sqrt(0.5), rel=1e-12)
         assert skew == pytest.approx(0.0, abs=1e-12)
 
     def test_all_open(self):
-        assert eye_closure_stats(np.zeros(10, dtype=bool)) == (0.0, 0.0, 0.0)
+        assert tuple(one(eye_closure_stats, np.zeros(10, dtype=bool), dtype=bool)) == (0.0, 0.0, 0.0)
 
     def test_single_episode(self):
         flags = np.zeros(10, dtype=bool)
         flags[3:7] = True
-        assert eye_closure_stats(flags) == (4.0, 0.0, 0.0)
+        assert tuple(one(eye_closure_stats, flags, dtype=bool)) == (4.0, 0.0, 0.0)
 
     def test_empty(self):
         with pytest.raises(ValidationError):
-            eye_closure_stats([])
+            one(eye_closure_stats, [], dtype=bool)
 
 
 class TestExtract:

@@ -17,11 +17,10 @@ from gazecast.ingest import (
     parse_gaze_csv,
     synthesize_sequence,
     validate_sequence,
-    write_annotation_csv,
     write_gaze_csv,
 )
 
-from helpers import make_sequence
+from helpers import make_sequence, write_annotation_csv
 
 GAZE_HEADER = "frame,timestamp_ms,gaze_x,gaze_y,screen_distance_mm,eye_closed"
 

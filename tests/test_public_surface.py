@@ -1,5 +1,6 @@
 """The public surface of ``gazecast``: a new or removed export shows up as a diff of this test."""
 
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -15,12 +16,11 @@ PUBLIC_NAMES = {
     "EvaluationReport", "RankingReport", "SelectionReport", "cross_val_cc", "grid_search_c", "kfold_split",
     "pearson_cc", "rank_by_correlation", "wrapper_greedy_stepwise",
     # features
-    "FeatureConfig", "approach_stats", "band_psd", "descriptive_stats", "extract_matrix", "eye_closure_stats",
-    "fixation_zone_stats", "scan_path_stats",
+    "FeatureConfig", "extract_matrix",
     # ingest
     "AnnotationTrack", "ChannelSpec", "GazeSequence", "SynthesisSpec", "ValidationReport",
     "parse_annotation_csv", "parse_gaze_csv", "synthesize_sequence", "validate_sequence",
-    "write_annotation_csv", "write_gaze_csv",
+    "write_gaze_csv",
     # regression
     "SvrConfig", "SvrModel", "TrainingSet", "filter_zero_targets", "fit_linear_svr",
     # windowing
@@ -32,7 +32,7 @@ def test_exported_names_are_exactly_the_public_surface():
     exported = {
         name for name, value in vars(gazecast).items() if not name.startswith("_") and not inspect.ismodule(value)
     }
-    assert len(PUBLIC_NAMES) == 39
+    assert len(PUBLIC_NAMES) == 32
     assert exported == PUBLIC_NAMES
 
 
@@ -51,3 +51,14 @@ def test_cli_import_loads_only_gazecast_and_the_standard_library():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_function_the_benchmark_traces_exists():
+    """bench/spans.py times functions by module and name; a missing one would make its metric read 0 unnoticed."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TRACED
+    for module, function in spans.TRACED:
+        assert callable(getattr(importlib.import_module(f"gazecast.{module}"), function, None)), (module, function)
