@@ -30,10 +30,11 @@ Numeric conventions, applied everywhere a statistic is formed:
 
 Extraction is batched. :func:`extract_matrix` takes the windows of one
 sequence as index arrays (a :class:`windowing.Windows` record), groups them
-by sample count and runs each group in fixed chunks of (W, n) arrays through
-one call per feature family. Every family takes (W, n) arrays, one row per
-window, and returns a (W, k) array, one row of k features per window. The
-nominal rate is taken once per sequence.
+by sample count and runs each group's (W, n) arrays through one call per
+feature family. Every family takes (W, n) arrays, one row per window, and
+returns a (W, k) array, one row of k features per window. Only band_psd
+splits its rows into batches, to bound its zero-padded spectra. The nominal
+rate is taken once per sequence.
 Sums over runs, zones and episodes are NumPy reductions over blocks of
 equal-length groups, so they follow NumPy's own reduction order for a 1-d
 array (pairwise from 8 terms on): a window's features are the same bits
@@ -53,6 +54,8 @@ from .windowing import Windows
 PSD_SINGLE_BINS_HZ = (0.011, 0.022)
 PSD_BAND_RANGES_HZ = ((0.033, 0.044), (0.055, 0.066), (0.077, 0.133))
 PSD_MODES = ("hz", "normalized")
+# Rows per band_psd periodogram batch: bounds its zero-padded (rows, n_pad) spectra whatever the window count.
+_CHUNK_WINDOWS = 128
 
 _BLOCK_STATS = ("mean", "iqr_q1q2", "iqr_q2q3", "std", "skewness")
 FEATURE_NAMES: tuple[str, ...] = (
@@ -251,16 +254,19 @@ def band_psd(x, rate_hz: float, config: FeatureConfig = FeatureConfig()) -> np.n
         center = x[:, 0].copy()  # constant -> exactly zero signal
         center[~const] = np.mean(x[~const], axis=1)
         k0, k1 = min(a for a, _ in bands), max(b for _, b in bands)
-        spec = np.fft.rfft(x - center[:, None], n=n_pad, axis=1)[:, k0:k1]
+        out = np.empty((len(x), len(bands)))
+        for r in range(0, len(x), _CHUNK_WINDOWS):  # copying bins k0:k1 frees each batch's full spectra at once
+            rows = slice(r, r + _CHUNK_WINDOWS)
+            spec = np.fft.rfft(x[rows] - center[rows, None], n=n_pad, axis=1)[:, k0:k1].copy()
+            power = (spec.real**2 + spec.imag**2) / n
+            # Column slices: a column mask gives a column-major copy, whose rows NumPy sums in another order.
+            out[rows] = np.column_stack([np.mean(power[:, a - k0 : b - k0], axis=1) for a, b in bands])
     except MemoryError:
         raise ValidationError(
             f"psd_pad_resolution_hz {config.psd_pad_resolution_hz:g} needs {n_pad}-point periodograms, "
             "too large to allocate"
         ) from None
-    power = (spec.real**2 + spec.imag**2) / n
-    # Column slices, not a column mask: masking columns yields a column-major
-    # copy, whose rows NumPy sums in another order than a 1-d mean.
-    return np.column_stack([np.mean(power[:, a - k0 : b - k0], axis=1) for a, b in bands])
+    return out
 
 
 def fixation_zone_stats(xs, ys, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
@@ -275,8 +281,10 @@ def fixation_zone_stats(xs, ys, config: FeatureConfig = FeatureConfig()) -> np.n
     g = config.zone_grid
     xmin, xmax, ymin, ymax = config.zone_bounds
     # Clamped in float before the cast, so a coordinate past int64's range still lands in its edge cell.
-    ix = np.clip(np.floor((xs - xmin) / (xmax - xmin) * g), 0, g - 1).astype(int)
-    iy = np.clip(np.floor((ys - ymin) / (ymax - ymin) * g), 0, g - 1).astype(int)
+    # A tiny box width or a huge coordinate can overflow to +-inf, which the clamp also sends to the edge cell.
+    with np.errstate(over="ignore"):
+        ix = np.clip(np.floor((xs - xmin) / (xmax - xmin) * g), 0, g - 1).astype(int)
+        iy = np.clip(np.floor((ys - ymin) / (ymax - ymin) * g), 0, g - 1).astype(int)
     # A stable sort of each window by cell keeps every cell's samples in time order.
     cell = ix * g + iy
     order = np.argsort(cell, axis=1, kind="stable")
@@ -347,33 +355,17 @@ def eye_closure_stats(flags) -> np.ndarray:
 
 # --- the 31-feature vector ------------------------------------------------------
 
-# Windows per batch: bounds the (W, n_pad) spectra, the largest arrays of a batch.
-_CHUNK_WINDOWS = 128
 # descriptive_stats column order -> canonical block order (mean, iqr_q1q2, iqr_q2q3, std, skewness).
 _BLOCK_COLUMNS = [0, 3, 4, 1, 2]
-
-
-def _chunk_features(seq, take: np.ndarray, rate_hz: float, config: FeatureConfig) -> np.ndarray:
-    """Feature rows for the windows whose sample indices are the rows of *take* (W, n)."""
-    xs, ys, ts = seq.gaze_x[take], seq.gaze_y[take], seq.timestamp_ms[take]
-    out = np.empty((len(take), N_FEATURES))
-    out[:, 0:2] = approach_stats(seq.screen_distance_mm[take], ts, config)
-    out[:, 2:4] = scan_path_stats(xs, ys, ts, config)
-    for base, coords in ((4, xs), (16, ys)):
-        out[:, base : base + 5] = descriptive_stats(coords)[:, _BLOCK_COLUMNS]
-        out[:, base + 5 : base + 10] = band_psd(coords, rate_hz, config)
-    out[:, [14, 15, 26, 27]] = fixation_zone_stats(xs, ys, config)
-    out[:, 28:31] = eye_closure_stats(seq.eye_closed[take])
-    return out
 
 
 def extract_matrix(windows: Windows, config: FeatureConfig = FeatureConfig()) -> np.ndarray:
     """The (len(windows), 31) feature matrix, one row per window in time order.
 
     Every window is checked first, so the earliest one with fewer than 2
-    samples or a non-finite sample is the one reported. The windows are then
-    grouped by sample count and each group runs through the family functions
-    in chunks of _CHUNK_WINDOWS (W, n) arrays, in ascending window order.
+    samples or a non-finite sample is the one reported. Each group of windows
+    with one sample count then makes one call per feature family on its (W, n)
+    arrays; only band_psd batches the rows, to bound its spectra.
     """
     seq, lo, hi = windows.seq, windows.lo, windows.hi
     n_samples = hi - lo
@@ -390,10 +382,18 @@ def extract_matrix(windows: Windows, config: FeatureConfig = FeatureConfig()) ->
     rate_hz = seq.nominal_rate_hz
     out = np.empty((len(lo), N_FEATURES))
     for n in np.unique(n_samples):
-        members = np.flatnonzero(n_samples == n)
-        for c in range(0, len(members), _CHUNK_WINDOWS):
-            rows = members[c : c + _CHUNK_WINDOWS]
-            out[rows] = _chunk_features(seq, lo[rows, None] + np.arange(n), rate_hz, config)
+        rows = np.flatnonzero(n_samples == n)
+        take = lo[rows, None] + np.arange(n)  # (W, n) sample indices of the group's windows
+        xs, ys, ts = seq.gaze_x[take], seq.gaze_y[take], seq.timestamp_ms[take]
+        group = np.empty((len(rows), N_FEATURES))
+        group[:, 0:2] = approach_stats(seq.screen_distance_mm[take], ts, config)
+        group[:, 2:4] = scan_path_stats(xs, ys, ts, config)
+        for base, coords in ((4, xs), (16, ys)):
+            group[:, base : base + 5] = descriptive_stats(coords)[:, _BLOCK_COLUMNS]
+            group[:, base + 5 : base + 10] = band_psd(coords, rate_hz, config)
+        group[:, [14, 15, 26, 27]] = fixation_zone_stats(xs, ys, config)
+        group[:, 28:31] = eye_closure_stats(seq.eye_closed[take])
+        out[rows] = group
     if not np.all(np.isfinite(out)):
         raise ValidationError("feature vector contains non-finite values")
     return out

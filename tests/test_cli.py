@@ -1,13 +1,20 @@
+import io
 import json
 import logging
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gazecast.cli import (
     FEATURE_CSV_HEADER,
@@ -295,6 +302,44 @@ class TestNanSettings:
         assert run(*argv, "--csv-out" if command == "select" else "--out", out, flag, value) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+# Numeric edges as flag text: zero, subnormal, huge, tiny, infinite, NaN and integers past int64.
+EDGE_VALUES = ["0", "5e-324", "-5e-324", "1e300", "-1e300", "1e-300", "-1e-300", "inf", "-inf", "nan",
+               str(2**63 + 1), str(-(2**63 + 1))]
+EXTRACT_NUMBER_FLAGS = ["--window-sec", "--hop-sec", "--velocity-threshold", "--approach-delta-mm",
+                        "--zone-grid", "--psd-resolution-hz", "--closure-threshold"]
+
+
+class TestExtractFlagEdges:
+    """Every numeric extract setting at a numeric edge ends in exit 0 with finite features, or in a refusal."""
+
+    @settings(max_examples=200)
+    @given(
+        flags=st.dictionaries(st.sampled_from(EXTRACT_NUMBER_FLAGS), st.sampled_from(EDGE_VALUES), max_size=2),
+        bounds=st.tuples(*(st.sampled_from([default, *EDGE_VALUES]) for default in ("-1", "1", "-1", "1"))),
+    )
+    @example(flags={}, bounds=("-5e-324", "5e-324", "-1", "1"))  # the zone quotient overflows to inf
+    def test_exit_code_is_documented(self, flags, bounds):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "f.csv"
+            argv = ["extract", "--gaze", str(FIXTURES / "golden_gaze.csv"), "--out", str(out),
+                    f"--zone-bounds={','.join(bounds)}", *(f"{flag}={value}" for flag, value in flags.items())]
+            err = io.StringIO()
+            # Warnings are errors inside the call only: hypothesis' own failure report imports modules that warn.
+            with redirect_stderr(err), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = main(argv)
+                except SystemExit as e:  # argparse refuses a value its type cannot parse
+                    code = e.code
+            assert code in (0, 2, 3), err.getvalue()
+            if code:
+                assert err.getvalue().startswith(("gazecast: error:", "usage:")), err.getvalue()
+                assert not out.exists()
+            else:
+                rows = out.read_text(encoding="utf-8").splitlines()[1:]  # none when no window fits
+                assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 ENTRY = {"gaze": "g.csv", "annotations": "a.csv"}

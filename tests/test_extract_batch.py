@@ -126,7 +126,7 @@ class TestBatchEqualsPerWindow:
         long_windows = segment(recording(1500.0, seed=1, jitter_ms=4.0))
         _, sizes = np.unique(long_windows.hi - long_windows.lo, return_counts=True)
         assert len(sizes) >= 2  # windows differ in length
-        assert max(sizes) > 2 * CHUNK  # one length group spans more than two chunks
+        assert max(sizes) > 2 * CHUNK  # one length group spans more than two band_psd row batches
 
         for windows in (long_windows, segment(recording(40.0, seed=2))):
             got = extract_matrix(windows, config)
@@ -181,7 +181,7 @@ class TestErrorOrder:
     def _nan_windows(self):
         seq = recording(2.0 * (2 * CHUNK + 20), seed=4)
         xs = seq.gaze_x.copy()
-        # One non-finite sample in the first chunk, one in the third.
+        # One non-finite sample in the first band_psd row batch, one in the third.
         for k in (40, 2 * CHUNK + 5):
             xs[int((k * 2000.0 + 2500.0) / (1000.0 / RATE_HZ))] = np.nan
         seq = GazeSequence(seq.frame_index, seq.timestamp_ms, xs, seq.gaze_y,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from collections import namedtuple
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gazecast.errors import ValidationError
 from gazecast.features import (
+    _CHUNK_WINDOWS,
     FEATURE_NAMES,
     FeatureConfig,
     approach_stats,
@@ -165,6 +167,20 @@ class TestBandPsd:
         with pytest.raises(ValidationError):
             one(band_psd, [1.0], rate_hz=30.0)
 
+    def test_periodogram_memory_does_not_grow_with_rows(self):
+        # The FFTs run in row batches, so 16 batches' worth of rows peak near one batch's spectra.
+        rng = np.random.default_rng(0)
+        peaks = []
+        for rows in (_CHUNK_WINDOWS, 16 * _CHUNK_WINDOWS):
+            x = rng.normal(size=(rows, 90))
+            tracemalloc.start()
+            try:
+                band_psd(x, rate_hz=30.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0], peaks
+
 
 class TestFixationZones:
     def test_single_cell_hand_value(self):
@@ -209,6 +225,17 @@ class TestFixationZones:
         for axis, columns in (("x", got[:2]), ("y", got[2:])):
             expected = loop_zone_stats(xs, ys, axis, 3, (-1.0, 1.0, -1.0, 1.0))
             assert tuple(columns) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_zone_width_sends_samples_to_the_edge_cells(self):
+        # Over a 1e-323 box, (x - xmin) / width overflows to +-inf for |x| >= 1e-3; over a 2e-300 box it
+        # stays finite. Either way every sample clamps to an edge cell, so the columns must agree.
+        rng = np.random.default_rng(11)
+        xs = rng.choice([-1.0, 1.0], size=(40, 30)) * rng.uniform(1e-3, 1.0, size=(40, 30))
+        ys = rng.uniform(-1.0, 1.0, size=(40, 30))
+        subnormal = fixation_zone_stats(xs, ys, FeatureConfig(zone_bounds=(-5e-324, 5e-324, -1.0, 1.0)))
+        tiny = fixation_zone_stats(xs, ys, FeatureConfig(zone_bounds=(-1e-300, 1e-300, -1.0, 1.0)))
+        assert np.array_equal(subnormal, tiny)
 
 
 class TestScanPaths:
