@@ -1,6 +1,8 @@
 """Command-line front end: synth, extract, train, predict, evaluate, rank, select, pipeline.
 
 Every command is deterministic given identical inputs, flags, and seed.
+Every input file is opened through one reader, so a fault in a gaze,
+annotation, feature, model, spec or manifest file names that file.
 Output files are written atomically (temp file + rename). Exit codes:
 0 ok, 2 input schema error or a file that cannot be read or written,
 3 validation failure, 4 degenerate data, 5 solver non-convergence.
@@ -16,7 +18,7 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import replace
 from pathlib import Path
 from typing import TextIO
@@ -80,10 +82,17 @@ def _write_text_atomic(path: str | Path, text: str | Callable[[TextIO], object])
         raise OSError(e.errno, e.strerror, str(path)) from None
 
 
-def _read_text(path: str | Path) -> str:
-    """The UTF-8 text of *path*; undecodable bytes are a SchemaError naming the file."""
+@contextlib.contextmanager
+def _reading(path: str | Path) -> Iterator[TextIO]:
+    """Open *path* as UTF-8 text; a GazecastError raised inside, or undecodable text, then names the file.
+
+    The error keeps its class, and so its exit code, with "{path}: " prefixed; undecodable text is a SchemaError.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as f:
+            yield f
+    except GazecastError as e:
+        raise type(e)(f"{path}: {e}") from None
     except UnicodeDecodeError as e:
         raise SchemaError(f"{path}: {e}") from None
 
@@ -102,7 +111,7 @@ def feature_csv_text(spans: np.ndarray, matrix: np.ndarray) -> str:
 def read_feature_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature CSV back into (spans (k,2), features (k,31))."""
     spans, rows = [], []
-    with open(path, "r", encoding="utf-8", newline="") as f, _naming(path):
+    with _reading(path) as f:
         records = csv_rows(f)
         _, header = next(records, (0, None))
         if header is None:
@@ -199,6 +208,19 @@ def _add_drop_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_training_flags(p: argparse.ArgumentParser) -> None:
+    """The labelled feature rows that train, rank and select read."""
+    p.add_argument("--features", required=True, help="feature CSV from `extract`")
+    p.add_argument("--annotations", required=True, help="annotation CSV (timestamp_ms,value)")
+    p.add_argument("--dimension", choices=list(DIMENSIONS), required=True)
+    _add_drop_flag(p)
+
+
+def _add_cv_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--folds", type=int, default=10, help="CV folds (default 10)")
+    p.add_argument("--seed", type=int, default=0, help="seed for CV splits (default 0)")
+
+
 def _svr_config(args, dimension: str) -> SvrConfig:
     c = args.complexity if args.complexity is not None else DEFAULT_COMPLEXITY[dimension]
     return SvrConfig(complexity_c=c, epsilon=args.epsilon, tolerance=args.tolerance, max_passes=args.max_passes)
@@ -217,59 +239,42 @@ def _parse_grid(text: str) -> list[float]:
 # --- ingestion helpers -------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _naming(path: str | Path):
-    """Prefix *path* to a GazecastError raised inside, keeping its class and so its exit code."""
-    try:
-        yield
-    except GazecastError as e:
-        raise type(e)(f"{path}: {e}") from None
-
-
-def _load_sequence(path: str | Path, args):
-    with open(path, "r", encoding="utf-8", newline="") as f, _naming(path):
-        seq = parse_gaze_csv(f, closure_threshold=args.closure_threshold, source_id=str(path))
-    report = validate_sequence(seq, hop_s=args.hop_sec)
-    if not report.usable or report.nan_count:
-        raise ValidationError(f"{path}: unusable sequence: {'; '.join(report.issues)}")
-    return seq
-
-
 def _extract_spans(path: str | Path, args, config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Load, segment and extract one gaze CSV: (spans (k, 2), features (k, 31))."""
-    windows = windowing.segment(_load_sequence(path, args), args.window_sec, args.hop_sec)
+    """Load, check, segment and extract one gaze CSV: (spans (k, 2), features (k, 31))."""
+    with _reading(path) as f:
+        seq = parse_gaze_csv(f, closure_threshold=args.closure_threshold)
+        report = validate_sequence(seq, hop_s=args.hop_sec)
+        if not report.usable or report.nan_count:
+            raise ValidationError(f"unusable sequence: {'; '.join(report.issues)}")
+    windows = windowing.segment(seq, args.window_sec, args.hop_sec)
     return windows.spans, extract_matrix(windows, config)
 
 
 def _targets_for(spans: np.ndarray, annotations: str | Path, dimension: str) -> np.ndarray:
-    with open(annotations, "r", encoding="utf-8", newline="") as f, _naming(annotations):
+    with _reading(annotations) as f:
         return windowing.targets_for_spans(spans, parse_annotation_csv(f, dimension))
 
 
-def _read_features_and_targets(args, dimension: str) -> tuple[np.ndarray, np.ndarray]:
+def _training_set(args, x: np.ndarray, targets: np.ndarray, dimension: str) -> TrainingSet:
+    """The rows to train on, less zero-target rows under --drop-zero-target (default: on for valence)."""
+    data = TrainingSet(x, targets, dimension)
+    drop = dimension == "valence" if args.drop_zero_target is None else args.drop_zero_target
+    kept = filter_zero_targets(data) if drop else data
+    logger.info("training on %d row(s) (%d zero-target row(s) dropped)", kept.n_rows, data.n_rows - kept.n_rows)
+    return kept
+
+
+def _load_training_set(args) -> TrainingSet:
     spans, x = read_feature_csv(args.features)
-    return x, _targets_for(spans, args.annotations, dimension)
-
-
-def _drop_zero_targets(args, data: TrainingSet) -> tuple[TrainingSet, int]:
-    """Apply --drop-zero-target (default: on for valence); returns the set and the rows dropped."""
-    drop = data.dimension == "valence" if args.drop_zero_target is None else args.drop_zero_target
-    if not drop:
-        return data, 0
-    kept = filter_zero_targets(data)
-    return kept, data.n_rows - kept.n_rows
-
-
-def _load_training_set(args, dimension: str) -> tuple[TrainingSet, int]:
-    x, targets = _read_features_and_targets(args, dimension)
-    return _drop_zero_targets(args, TrainingSet(x, targets, dimension))
+    return _training_set(args, x, _targets_for(spans, args.annotations, args.dimension), args.dimension)
 
 
 # --- commands ----------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    spec = SynthesisSpec.from_json(_read_text(args.spec))
+    with _reading(args.spec) as f:
+        spec = SynthesisSpec.from_json(f.read())
     seq = synthesize_sequence(spec, args.seed)
     _write_text_atomic(args.out, lambda f: write_gaze_csv(seq, f))
     logger.info("wrote %d samples to %s", len(seq), args.out)
@@ -283,13 +288,11 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _train_model(args, data: TrainingSet, dimension: str):
-    config = _svr_config(args, dimension)
+def _train_model(args, data: TrainingSet):
+    config = _svr_config(args, data.dimension)
     if args.grid_c:
         grid = _parse_grid(args.grid_c)
-        best_c, results = evaluation.grid_search_c(
-            data.features, data.targets, grid, config, args.folds, args.seed
-        )
+        best_c, results = evaluation.grid_search_c(data.features, data.targets, grid, config, args.folds, args.seed)
         for c, score in results:
             logger.info("grid C=%g -> cv_cc=%.5f", c, score)
         logger.info("grid selected C=%g", best_c)
@@ -298,61 +301,52 @@ def _train_model(args, data: TrainingSet, dimension: str):
 
 
 def cmd_train(args) -> int:
-    dimension = args.dimension
-    data, dropped = _load_training_set(args, dimension)
-    logger.info("training on %d row(s) (%d zero-target row(s) dropped)", data.n_rows, dropped)
-    model = _train_model(args, data, dimension)
+    model = _train_model(args, _load_training_set(args))
     _write_text_atomic(args.out, model_to_text(model))
     logger.info("wrote model to %s", args.out)
     return 0
 
 
 def cmd_predict(args) -> int:
-    model = model_from_text(_read_text(args.model))
+    with _reading(args.model) as f:
+        model = model_from_text(f.read())
     spans, x = read_feature_csv(args.features)
-    pred = predict_matrix(model, x)
-    _write_text_atomic(args.out, predictions_csv_text(spans, pred))
+    _write_text_atomic(args.out, predictions_csv_text(spans, predict_matrix(model, x)))
+    return 0
+
+
+def _write_report(args, report, text: Callable[[object], str], csv: Callable[[object], str]) -> int:
+    """Print *report* as *text* renders it; under --csv-out also write it as *csv* renders it."""
+    sys.stdout.write(text(report))
+    if args.csv_out:
+        _write_text_atomic(args.csv_out, csv(report))
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    model = model_from_text(_read_text(args.model))
+    with _reading(args.model) as f:
+        model = model_from_text(f.read())
     dimension = args.dimension or model.dimension
     if dimension not in DIMENSIONS:
         raise ValidationError("model has no dimension; pass --dimension")
-    x, gold = _read_features_and_targets(args, dimension)
-    pred = predict_matrix(model, x)
-    report = evaluation.evaluate_arrays(pred, gold, dimension)
-    sys.stdout.write(evaluation.format_evaluation(report))
-    if args.csv_out:
-        _write_text_atomic(args.csv_out, evaluation.evaluation_csv(report))
-    return 0
+    spans, x = read_feature_csv(args.features)
+    gold = _targets_for(spans, args.annotations, dimension)
+    report = evaluation.evaluate_arrays(predict_matrix(model, x), gold, dimension)
+    return _write_report(args, report, evaluation.format_evaluation, evaluation.evaluation_csv)
 
 
 def cmd_rank(args) -> int:
-    data, _ = _load_training_set(args, args.dimension)
-    report = evaluation.rank_by_correlation(data)
-    sys.stdout.write(evaluation.format_ranking(report))
-    if args.csv_out:
-        _write_text_atomic(args.csv_out, evaluation.ranking_csv(report))
-    return 0
+    report = evaluation.rank_by_correlation(_load_training_set(args))
+    return _write_report(args, report, evaluation.format_ranking, evaluation.ranking_csv)
 
 
 def cmd_select(args) -> int:
-    data, _ = _load_training_set(args, args.dimension)
-    config = _svr_config(args, args.dimension)
+    data = _load_training_set(args)
     report = evaluation.wrapper_greedy_stepwise(
-        data,
-        config,
-        k=args.folds,
-        seed=args.seed,
-        min_improvement=args.min_improvement,
-        max_steps=args.max_steps,
+        data, _svr_config(args, data.dimension), k=args.folds, seed=args.seed,
+        min_improvement=args.min_improvement, max_steps=args.max_steps,
     )
-    sys.stdout.write(evaluation.format_selection(report))
-    if args.csv_out:
-        _write_text_atomic(args.csv_out, evaluation.selection_csv(report))
-    return 0
+    return _write_report(args, report, evaluation.format_selection, evaluation.selection_csv)
 
 
 def _pipeline_rows(entries, base_dir: Path, args, dimension: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -375,25 +369,23 @@ def _is_manifest_entry(entry) -> bool:
 
 
 def cmd_pipeline(args) -> int:
-    manifest_path = Path(args.manifest)
-    try:
-        manifest = json.loads(_read_text(manifest_path))
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"bad manifest {args.manifest}: {e}") from None
-    for key in ("train", "test"):
-        entries = manifest.get(key) if isinstance(manifest, dict) else None
-        if not (isinstance(entries, list) and entries and all(_is_manifest_entry(e) for e in entries)):
-            raise SchemaError(f"bad manifest {args.manifest}: {key!r} must be a non-empty list of "
-                              "objects with string 'gaze' and 'annotations' fields")
+    with _reading(args.manifest) as f:
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"bad manifest: {e}") from None
+        for key in ("train", "test"):
+            entries = manifest.get(key) if isinstance(manifest, dict) else None
+            if not (isinstance(entries, list) and entries and all(_is_manifest_entry(e) for e in entries)):
+                raise SchemaError(f"bad manifest: {key!r} must be a non-empty list of "
+                                  "objects with string 'gaze' and 'annotations' fields")
     dimension = args.dimension or manifest.get("dimension")
     if dimension not in DIMENSIONS:
         raise ValidationError("pipeline needs a dimension (flag or manifest field)")
-    base = manifest_path.parent
+    base = Path(args.manifest).parent
 
     x_train, y_train, _ = _pipeline_rows(manifest["train"], base, args, dimension)
-    data, dropped = _drop_zero_targets(args, TrainingSet(x_train, y_train, dimension))
-    logger.info("training on %d row(s) (%d zero-target row(s) dropped)", data.n_rows, dropped)
-    model = _train_model(args, data, dimension)
+    model = _train_model(args, _training_set(args, x_train, y_train, dimension))
 
     x_test, y_test, test_spans = _pipeline_rows(manifest["test"], base, args, dimension)
     pred = predict_matrix(model, x_test)
@@ -432,15 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("train", help="train an epsilon-SVR from a feature CSV and an annotation CSV")
-    p.add_argument("--features", required=True, help="feature CSV from `extract`")
-    p.add_argument("--annotations", required=True, help="annotation CSV (timestamp_ms,value)")
-    p.add_argument("--dimension", choices=list(DIMENSIONS), required=True)
+    _add_training_flags(p)
     p.add_argument("--out", required=True, help="output model file path")
     _add_svr_flags(p)
-    _add_drop_flag(p)
     p.add_argument("--grid-c", default=None, help="comma-separated C grid; picks the CV-best (e.g. 0.01,0.1,1)")
-    p.add_argument("--folds", type=int, default=10, help="CV folds for --grid-c (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="seed for CV splits (default 0)")
+    _add_cv_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a model to a feature CSV")
@@ -458,24 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("rank", help="per-feature correlation ranking against the target")
-    p.add_argument("--features", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--dimension", choices=list(DIMENSIONS), required=True)
-    _add_drop_flag(p)
-    p.add_argument("--csv-out", default=None)
+    _add_training_flags(p)
+    p.add_argument("--csv-out", default=None, help="also write the report as CSV")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("select", help="forward greedy wrapper feature selection with k-fold CV")
-    p.add_argument("--features", required=True)
-    p.add_argument("--annotations", required=True)
-    p.add_argument("--dimension", choices=list(DIMENSIONS), required=True)
+    _add_training_flags(p)
     _add_svr_flags(p)
-    _add_drop_flag(p)
-    p.add_argument("--folds", type=int, default=10, help="CV folds (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="seed for CV splits (default 0)")
+    _add_cv_flags(p)
     p.add_argument("--min-improvement", type=float, default=1e-4, help="minimum CV gain to add a feature (default 1e-4)")
     p.add_argument("--max-steps", type=int, default=None, help="stop after this many accepted features")
-    p.add_argument("--csv-out", default=None)
+    p.add_argument("--csv-out", default=None, help="also write the report as CSV")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("pipeline", help="extract -> train -> evaluate over a train/test split manifest")
@@ -485,9 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_feature_flags(p)
     _add_svr_flags(p)
     _add_drop_flag(p)
-    p.add_argument("--grid-c", default=None, help="comma-separated C grid; picks the CV-best")
-    p.add_argument("--folds", type=int, default=10, help="CV folds for --grid-c (default 10)")
-    p.add_argument("--seed", type=int, default=0, help="seed for CV splits (default 0)")
+    p.add_argument("--grid-c", default=None, help="comma-separated C grid; picks the CV-best (e.g. 0.01,0.1,1)")
+    _add_cv_flags(p)
     p.add_argument("--model-out", default=None, help="also save the trained model")
     p.add_argument("--csv-out", default=None, help="also write the evaluation report as CSV")
     p.add_argument("--predictions-out", default=None, help="also write held-out predictions as CSV")
@@ -504,7 +484,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GazecastError, OSError, UnicodeDecodeError) as e:
+    except (GazecastError, OSError) as e:
         print(f"gazecast: error: {e}", file=sys.stderr)
         return e.exit_code if isinstance(e, GazecastError) else SchemaError.exit_code
 

@@ -67,9 +67,13 @@ def cross_val_cc(
     degenerate) where the learner's predictions or the targets are constant.
 
     The fits run in (matrix, fold) order, so the first error raised is that
-    of the first failing fit in that order.
+    of the first failing fit in that order. A held-out fold of fewer than 2
+    rows has no CC, so such folds are refused before any fit.
     """
     n = len(y)
+    if min(map(len, folds), default=2) < 2:
+        raise ValidationError(f"{len(folds)} folds of {n} rows leave a held-out fold of fewer than 2 rows, "
+                              f"which has no CC; at most {n // 2} folds can be scored")
     results = []
     for x in xs:
         scores: list[float] = []

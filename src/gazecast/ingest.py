@@ -67,7 +67,6 @@ class GazeSequence:
     gaze_y: np.ndarray
     screen_distance_mm: np.ndarray
     eye_closed: np.ndarray
-    source_id: str = ""
 
     def __post_init__(self):
         self.frame_index = _readonly(np.asarray(self.frame_index, dtype=np.int64).copy())
@@ -233,7 +232,6 @@ def parse_gaze_csv(
     stream: TextIO,
     *,
     closure_threshold: float = DEFAULT_CLOSURE_THRESHOLD,
-    source_id: str = "",
 ) -> GazeSequence:
     """Parse the gaze CSV schema into a validated :class:`GazeSequence`.
 
@@ -285,7 +283,6 @@ def parse_gaze_csv(
         gaze_y=ys,
         screen_distance_mm=dists,
         eye_closed=eyes,
-        source_id=source_id,
     )
 
 
@@ -428,7 +425,6 @@ class SynthesisSpec:
     gaze_y: tuple[ChannelSpec, ...] = (ChannelSpec("constant"),)
     distance_mm: tuple[ChannelSpec, ...] = (ChannelSpec("constant", level=600.0),)
     blinks_ms: tuple[tuple[float, float], ...] = ()
-    source_id: str = "synthetic"
 
     def __post_init__(self):
         # Written as not (v > 0) so that NaN fails too; a finite product bounds the sample count.
@@ -439,21 +435,16 @@ class SynthesisSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SynthesisSpec":
-        def channel(key, default):
-            specs = d.get(key)
-            if specs is None:
-                return default
-            return tuple(ChannelSpec(c["kind"], **{k: float(v) for k, v in c.items() if k != "kind"}) for c in specs)
-
-        return cls(
-            duration_s=float(d["duration_s"]),
-            rate_hz=float(d["rate_hz"]),
-            gaze_x=channel("gaze_x", (ChannelSpec("constant"),)),
-            gaze_y=channel("gaze_y", (ChannelSpec("constant"),)),
-            distance_mm=channel("distance_mm", (ChannelSpec("constant", level=600.0),)),
-            blinks_ms=tuple((float(a), float(b)) for a, b in d.get("blinks_ms", ())),
-            source_id=str(d.get("source_id", "synthetic")),
-        )
+        """The spec a JSON object describes; a channel it leaves out (or gives as null) takes the field default."""
+        if not isinstance(d, dict):
+            raise TypeError(f"expected a JSON object, got {type(d).__name__}")
+        duration_s, rate_hz = float(d["duration_s"]), float(d["rate_hz"])  # faults here come before a channel's
+        channels = {
+            key: tuple(ChannelSpec(c["kind"], **{k: float(v) for k, v in c.items() if k != "kind"}) for c in d[key])
+            for key in ("gaze_x", "gaze_y", "distance_mm") if d.get(key) is not None
+        }
+        blinks_ms = tuple((float(a), float(b)) for a, b in d.get("blinks_ms", ()))
+        return cls(duration_s, rate_hz, blinks_ms=blinks_ms, **channels)
 
     @classmethod
     def from_json(cls, text: str) -> "SynthesisSpec":
@@ -499,7 +490,6 @@ def synthesize_sequence(spec: SynthesisSpec, seed: int) -> GazeSequence:
             gaze_y=ys,
             screen_distance_mm=dist,
             eye_closed=closed,
-            source_id=spec.source_id,
         )
     except MemoryError:
         raise ValidationError(f"duration_s * rate_hz gives {n} samples, too many to allocate") from None

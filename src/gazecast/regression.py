@@ -337,6 +337,8 @@ def fit_linear_svr(
         raise DegenerateDataError(f"fitting needs at least 2 rows, got {len(y)}")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValidationError("non-finite feature or target values")
+    if not math.isfinite(2.0 * len(y) * config.complexity_c):  # so that math.fsum of the multipliers cannot overflow
+        raise ValidationError(f"complexity_c {config.complexity_c:g} is too large for {len(y)} rows")
 
     means, stds, z = standardize_columns(x)
     (t_mean,), (t_std,), y_std = standardize_columns(y[:, None])  # the target, by the same sentinel rule
@@ -349,10 +351,12 @@ def fit_linear_svr(
     _absorb_sum_drift(a_up, a_dn, config.complexity_c)
     beta = a_up - a_dn
     w_std = z.T @ beta
-    # beta @ K @ beta == |z.T @ beta|^2: the Gram matrix is needed by the solver only.
-    dual_objective = float(
-        0.5 * (w_std @ w_std) - y_std @ beta + config.epsilon * (math.fsum(a_up) + math.fsum(a_dn))
-    )
+    # beta @ K @ beta == |z.T @ beta|^2: the Gram matrix is needed by the solver only. The objective is a
+    # diagnostic only: where a huge C overflows it, it reads inf or nan, and that is not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        dual_objective = float(
+            0.5 * (w_std @ w_std) - y_std @ beta + config.epsilon * (math.fsum(a_up) + math.fsum(a_dn))
+        )
 
     # Constant (sentinel-std) columns carry weight 0 by construction: their z column is 0.
     weights = t_std * w_std / stds

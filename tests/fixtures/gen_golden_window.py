@@ -36,7 +36,6 @@ GOLDEN_SPEC = SynthesisSpec(
         ChannelSpec("noise", noise_std=1.5),
     ),
     blinks_ms=((600.0, 733.4), (1500.0, 1700.0)),
-    source_id="golden",
 )
 
 VELOCITY_THRESHOLD = 0.5

@@ -17,7 +17,6 @@ def make_sequence(
     ys=None,
     dist=None,
     closed=None,
-    source_id: str = "test",
 ) -> GazeSequence:
     ts = np.arange(n) * 1000.0 / rate_hz
     return GazeSequence(
@@ -27,7 +26,6 @@ def make_sequence(
         gaze_y=np.zeros(n) if ys is None else np.asarray(ys, dtype=float),
         screen_distance_mm=np.full(n, 600.0) if dist is None else np.asarray(dist, dtype=float),
         eye_closed=np.zeros(n, dtype=bool) if closed is None else np.asarray(closed, dtype=bool),
-        source_id=source_id,
     )
 
 

@@ -8,12 +8,12 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from contextlib import redirect_stderr
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gazecast.cli import (
@@ -342,6 +342,85 @@ class TestExtractFlagEdges:
                 assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
+SOLVER_NUMBER_FLAGS = {
+    "train": ["--complexity", "--epsilon", "--tolerance", "--max-passes", "--grid-c", "--folds", "--seed"],
+    "select": ["--complexity", "--epsilon", "--tolerance", "--max-passes", "--folds", "--seed",
+               "--min-improvement", "--max-steps"],
+}
+SOLVER_NUMBER_FLAGS["pipeline"] = SOLVER_NUMBER_FLAGS["train"]
+
+
+def _finite_cells(text: str) -> bool:
+    """Whether every comma- or space-separated cell of *text* that reads as a number is finite."""
+    for cell in text.replace(",", " ").split():
+        try:
+            if not math.isfinite(float(cell)):
+                return False
+        except ValueError:
+            pass
+    return True
+
+
+class TestSolverFlagEdges:
+    """Every numeric train, select and pipeline setting at a numeric edge ends in a documented exit code."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("solver_flags")
+        gaze, features = make_recording(tmp, "rec", seed=0, duration_s=30.0)  # 14 windows
+        ann = tmp / "ann.csv"
+        write_annotation(ann, [(t, 0.1 + 0.3 * np.sin(t / 9000.0)) for t in np.arange(0.0, 30500.0, 500.0)])
+        manifest = tmp / "manifest.json"
+        entry = {"gaze": gaze.name, "annotations": ann.name}
+        manifest.write_text(json.dumps({"dimension": "arousal", "train": [entry], "test": [entry]}), encoding="utf-8")
+        return features, ann, manifest
+
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.sampled_from(sorted(SOLVER_NUMBER_FLAGS)).flatmap(lambda command: st.tuples(
+        st.just(command),
+        st.dictionaries(st.sampled_from(SOLVER_NUMBER_FLAGS[command]), st.sampled_from(EDGE_VALUES), max_size=3),
+    )))
+    @example(drawn=("select", {}))  # 10 folds of 14 rows leave single-row folds
+    @example(drawn=("select", {"--epsilon": "0", "--complexity": "1e300", "--max-steps": "1", "--folds": "5"}))
+    @example(drawn=("select", {"--epsilon": "0", "--complexity": "1.7e308", "--max-steps": "1", "--folds": "5"}))
+    @example(drawn=("select", {"--folds": "7", "--max-steps": "1"}))
+    @example(drawn=("pipeline", {"--grid-c": "0.1,1e300", "--folds": "7"}))
+    def test_exit_code_is_documented(self, inputs, drawn):
+        command, flags = drawn
+        # A fit under a huge update cap stops only where it converges, which a tiny tolerance or a huge C prevents.
+        never_converges = flags.get("--tolerance") in ("5e-324", "1e-300") or "1e300" in (
+            flags.get("--complexity"), flags.get("--grid-c"))
+        assume(not (never_converges and flags.get("--max-passes") == str(2**63 + 1)))
+        flags = {"--max-passes": "3000", **flags}
+        features, ann, manifest = inputs
+        with tempfile.TemporaryDirectory() as tmp:
+            outs = {flag: Path(tmp) / flag.strip("-") for flag in {
+                "train": ["--out"], "select": ["--csv-out"],
+                "pipeline": ["--model-out", "--csv-out", "--predictions-out"],
+            }[command]}
+            data = ["--manifest", str(manifest)] if command == "pipeline" else [
+                "--features", str(features), "--annotations", str(ann), "--dimension", "arousal"]
+            argv = [command, *data, *(f"{flag}={path}" for flag, path in outs.items()),
+                    *(f"{flag}={value}" for flag, value in flags.items())]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            # Warnings are errors inside the call only: hypothesis' own failure report imports modules that warn.
+            with redirect_stdout(stdout), redirect_stderr(stderr), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = main(argv)
+                except SystemExit as e:  # argparse refuses a value its type cannot parse
+                    code = e.code
+            err = stderr.getvalue()
+            assert code in (0, 2, 3, 5), err
+            if code:
+                assert err.startswith(("gazecast: error:", "usage:")), err
+                assert not any(path.exists() for path in outs.values())
+            else:
+                assert _finite_cells(stdout.getvalue()), stdout.getvalue()
+                for path in outs.values():
+                    assert _finite_cells(path.read_text(encoding="utf-8")), path.read_text(encoding="utf-8")
+
+
 ENTRY = {"gaze": "g.csv", "annotations": "a.csv"}
 
 
@@ -376,7 +455,10 @@ class TestFileFaults:
         ("pipeline --manifest {path}", b'{"train": \xff}'),
         ("synth --spec {path} --out {tmp}/g.csv", b'{"duration_s": \xff}'),
         ("predict --model {path} --features {golden_features} --out {tmp}/p.csv", b"GAZESVR1\n\xff\n"),
-    ], ids=["missing_output_directory", "byte_ff_in_manifest", "byte_ff_in_spec", "byte_ff_in_model"])
+        ("predict --model {path} --features {golden_features} --out {tmp}/p.csv", b"not a model\n"),
+        ("synth --spec {path} --out {tmp}/g.csv", b'{"duration_s": 1}'),
+    ], ids=["missing_output_directory", "byte_ff_in_manifest", "byte_ff_in_spec", "byte_ff_in_model",
+            "not_a_model_file", "spec_without_rate"])
     def test_message_names_the_users_path(self, tmp_path, capsys, argv, content):
         path = tmp_path / ("missing/f.csv" if content is None else "input")
         if content is not None:
@@ -661,6 +743,24 @@ class TestRankSelect:
         out = capsys.readouterr().out
         assert "Wrapper forward selection" in out
         assert csv_out.read_text().splitlines()[0] == "step,feature,cv_cc,degenerate_folds"
+
+
+class TestFoldsOfOneRow:
+    """A CV fold count that leaves one held-out row (10 folds of 14 windows) is refused, naming the counts."""
+
+    @pytest.mark.parametrize("command", [["select"], ["train", "--grid-c", "0.1,1"]], ids=["select", "train_grid"])
+    def test_refused_before_any_fit(self, tmp_path, capsys, monkeypatch, command):
+        _, features = make_recording(tmp_path, "rec", seed=1, duration_s=30.0)
+        ann = tmp_path / "ann.csv"
+        write_annotation(ann, [(t, 0.1 + 0.3 * np.sin(t / 9000.0)) for t in np.arange(0.0, 30500.0, 500.0)])
+        monkeypatch.setattr("gazecast.evaluation.fit_linear_svr", None)  # a fit would raise TypeError
+        out = tmp_path / "out"
+        assert run(*command, "--features", features, "--annotations", ann, "--dimension", "arousal",
+                   "--csv-out" if command[0] == "select" else "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gazecast: error: 10 folds of 14 rows leave a held-out fold of fewer than 2 rows")
+        assert "at most 7 folds can be scored" in err
+        assert not out.exists()
 
 
 class TestPipeline:

@@ -186,6 +186,16 @@ class TestCrossVal:
         assert scores == [-1.0] * 4
         assert mean_cc == -1.0
 
+    @pytest.mark.parametrize("n, k", [(14, 10), (15, 8), (5, 3)])
+    def test_single_row_folds_are_refused_before_any_fit(self, monkeypatch, n, k):
+        x, y = np.random.default_rng(n).normal(size=(n, 3)), np.arange(n, dtype=float)
+        counter = _CountFits(monkeypatch)
+        with pytest.raises(ValidationError, match=rf"^{k} folds of {n} rows .* at most {n // 2} folds can be scored$"):
+            cross_val_cc([x], y, SvrConfig(complexity_c=1.0), kfold_split(n, k, 0))
+        assert counter.calls == 0
+        [(_, scores, _)] = cross_val_cc([x], y, SvrConfig(complexity_c=1.0), kfold_split(n, n // 2, 0))
+        assert len(scores) == n // 2
+
     def test_grid_search_picks_cv_best(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=(40, 3))

@@ -39,7 +39,7 @@ def recording(duration_s: float, seed: int, jitter_ms: float = 0.0) -> GazeSeque
     dist = 600.0 + np.cumsum(rng.normal(0.0, 0.5, size=n))
     closed = np.repeat(rng.random(n // 3) < 0.1, 3)
     closed = np.concatenate([closed, np.zeros(n - len(closed), dtype=bool)])
-    return GazeSequence(np.arange(n), ts, xs, ys, dist, closed, source_id=f"rec{seed}")
+    return GazeSequence(np.arange(n), ts, xs, ys, dist, closed)
 
 
 # --- per-window reference ------------------------------------------------------

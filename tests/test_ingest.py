@@ -269,31 +269,32 @@ class TestSynthesize:
         with pytest.raises(SchemaError):
             SynthesisSpec.from_json("{\"rate_hz\": 1.0}")
 
-    @pytest.mark.parametrize("fields, error", [
-        ('"duration_s": "abc", "rate_hz": 30', SchemaError),
-        ('"duration_s": 1, "rate_hz": 30, "blinks_ms": [[1, 2, 3]]', SchemaError),
-        ('"duration_s": 1, "rate_hz": 30, "blinks_ms": [["a", 1]]', SchemaError),
-        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "constant", "level": "x"}]', SchemaError),
-        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "noise", "noise_std": -1}]', ValidationError),
-        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "noise", "noise_std": NaN}]', ValidationError),
-        ('"duration_s": NaN, "rate_hz": 30', ValidationError),
-        ('"duration_s": 1, "rate_hz": NaN', ValidationError),
-        ('"duration_s": 1e300, "rate_hz": 1e300', ValidationError),  # the sample count overflows
-        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "constant", "level": NaN}]', ValidationError),
-        ('"duration_s": 1, "rate_hz": 30, "gaze_y": [{"kind": "ramp", "slope": Infinity}]', ValidationError),
-        ('"duration_s": 1, "rate_hz": 30, "distance_mm": [{"kind": "sinusoid", "frequency_hz": NaN}]',
+    @pytest.mark.parametrize("text, error", [
+        ('{"duration_s": "abc", "rate_hz": 30}', SchemaError),
+        ('{"duration_s": 1, "rate_hz": 30, "blinks_ms": [[1, 2, 3]]}', SchemaError),
+        ('{"duration_s": 1, "rate_hz": 30, "blinks_ms": [["a", 1]]}', SchemaError),
+        ('{"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "constant", "level": "x"}]}', SchemaError),
+        ('{"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "noise", "noise_std": -1}]}', ValidationError),
+        ('{"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "noise", "noise_std": NaN}]}', ValidationError),
+        ('{"duration_s": NaN, "rate_hz": 30}', ValidationError),
+        ('{"duration_s": 1, "rate_hz": NaN}', ValidationError),
+        ('{"duration_s": 1e300, "rate_hz": 1e300}', ValidationError),  # the sample count overflows
+        ('{"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "constant", "level": NaN}]}', ValidationError),
+        ('{"duration_s": 1, "rate_hz": 30, "gaze_y": [{"kind": "ramp", "slope": Infinity}]}', ValidationError),
+        ('{"duration_s": 1, "rate_hz": 30, "distance_mm": [{"kind": "sinusoid", "frequency_hz": NaN}]}',
          ValidationError),
-        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "sinusoid", "amplitude": -Infinity}]',
+        ('{"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "sinusoid", "amplitude": -Infinity}]}',
          ValidationError),
-        ('"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "sinusoid", "phase_rad": NaN}]', ValidationError),
-        ('"duration_s": 1, "rate_hz": 30, "blinks_ms": [[NaN, 5]]', ValidationError),
-        ('"duration_s": 1, "rate_hz": 30, "blinks_ms": [[0, Infinity]]', ValidationError),
+        ('{"duration_s": 1, "rate_hz": 30, "gaze_x": [{"kind": "sinusoid", "phase_rad": NaN}]}', ValidationError),
+        ('{"duration_s": 1, "rate_hz": 30, "blinks_ms": [[NaN, 5]]}', ValidationError),
+        ('{"duration_s": 1, "rate_hz": 30, "blinks_ms": [[0, Infinity]]}', ValidationError),
+        ("[1, 2]", SchemaError),  # not a JSON object
     ], ids=["duration_text", "blink_triple", "blink_text", "level_text", "negative_noise", "nan_noise",
             "nan_duration", "nan_rate", "infinite_product", "nan_level", "infinite_slope", "nan_frequency",
-            "infinite_amplitude", "nan_phase", "nan_blink_start", "infinite_blink_end"])
-    def test_bad_spec_is_refused_when_read(self, fields, error):
+            "infinite_amplitude", "nan_phase", "nan_blink_start", "infinite_blink_end", "not_an_object"])
+    def test_bad_spec_is_refused_when_read(self, text, error):
         with pytest.raises(error):
-            SynthesisSpec.from_json("{" + fields + "}")
+            SynthesisSpec.from_json(text)
 
 
 class TestSequenceInvariants:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,25 @@ class TestSvrFit:
         bad[2, 1] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
             fit_linear_svr(bad, np.ones(4), SvrConfig(complexity_c=1.0))
+
+    # Tied rows give zero-curvature pairs, which a huge C lets the solver push far out.
+    TIED_X = np.array([[2.0], [2.0], [2.0], [2.0], [0.0], [0.0], [0.0], [2.0]])
+    TIED_Y = np.array([-0.755, 1.689, -0.287, 1.574, -0.433, -0.735, 0.25, 1.031])
+
+    def test_overflowing_dual_objective_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as exc:
+                fit_linear_svr(self.TIED_X, self.TIED_Y, SvrConfig(complexity_c=1e300, epsilon=0.0, max_passes=3000))
+        assert not np.isfinite(exc.value.model.diagnostics.dual_objective)
+
+    def test_complexity_whose_multiplier_sums_overflow_is_refused(self):
+        x, y = np.array([[2.0], [0.0], [2.0], [1.0], [1.0], [1.0], [0.0]]), np.array([3.0, -3, -2, -1, 0, -1, -3])
+        with pytest.raises(ValidationError, match=r"^complexity_c 1.7e\+308 is too large for 7 rows$"):
+            fit_linear_svr(x, y, SvrConfig(complexity_c=1.7e308, epsilon=0.0, max_passes=100))  # was OverflowError
+        with warnings.catch_warnings():  # 2n C is finite: fitted, not refused
+            warnings.simplefilter("error")
+            fit_linear_svr(x, y, SvrConfig(complexity_c=1.7e308 / 16, epsilon=0.0, max_passes=100))
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
